@@ -1,7 +1,7 @@
 """Pluggable I/O backend benchmark: bitwise identity + codec compression.
 
-Every available raw-I/O backend (``thread`` always, ``odirect``/``io_uring``
-where the kernel and filesystem cooperate) must produce bitwise-identical
+Every available raw-I/O backend (``thread`` always, ``odirect`` where the
+filesystem cooperates) must produce bitwise-identical
 training state and byte-for-byte identical tier blob files — the gated
 ``bitwise_identity_ratio`` headline is 1.0 or the backend layer is broken.
 The codec side frames a representative checkpoint payload through every

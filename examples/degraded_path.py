@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import format_table
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
 from repro.train.adam import AdamConfig
@@ -57,10 +57,10 @@ def build_config(root: Path) -> MLPOffloadConfig:
         subgroup_size=SUBGROUP,
         host_cache_bytes=0.0,
         adam=AdamConfig(lr=1e-2),
-        enable_striped_reads=True,
-        stripe_threshold_bytes=float(field_bytes // 2),
+        stripe=StripeConfig(enabled=True, threshold_bytes=float(field_bytes // 2)),
         adaptive_bandwidth=False,
-        io_retry_attempts=1,  # every injected fault is terminal: fail over fast
+        # every injected fault is terminal: fail over fast
+        io=IOBackendConfig(retry_attempts=1),
         path_quarantine_failures=2,
         path_probe_interval=2,
     )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import format_table
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.core.performance_model import (
     BandwidthEstimator,
@@ -99,8 +99,7 @@ def striped_reads_demo() -> None:
         subgroup_size=subgroup_params,
         host_cache_bytes=0.0,  # force every fetch through the tiers
         adam=AdamConfig(lr=1e-3),
-        enable_striped_reads=True,
-        stripe_threshold_bytes=4096.0,
+        stripe=StripeConfig(enabled=True, threshold_bytes=4096.0),
         adaptive_bandwidth=False,  # keep the read-hint split stable for the printout
     )
     rng = np.random.default_rng(11)

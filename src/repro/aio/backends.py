@@ -10,16 +10,13 @@ tier directory at store-construction time:
   honest and large streaming transfers run at device bandwidth.  The blob
   *header* is still parsed through one small buffered read (at most one page
   of cache per blob); the payload moves raw.
-* ``"io_uring"`` — the same O_DIRECT discipline submitted through a liburing
-  ring (:mod:`repro.aio.uring`) instead of per-call syscalls, where a
-  liburing build with exported prep symbols (``liburing-ffi``) is loadable.
 
 Selection is by name through :func:`resolve`, normally driven by
-``IOBackendConfig.backend`` (``"auto"`` probes ``io_uring`` → ``odirect`` →
-``thread`` and takes the first that works **for that directory's
-filesystem**).  A probe failure is not an error: unsupported filesystems
-(tmpfs has no O_DIRECT) and platforms (macOS) degrade down the same chain at
-open time, and the backend actually chosen is recorded per tier in
+``IOBackendConfig.backend`` (``"auto"`` probes ``odirect`` → ``thread`` and
+takes the first that works **for that directory's filesystem**).  A probe
+failure is not an error: unsupported filesystems (tmpfs has no O_DIRECT) and
+platforms (macOS) degrade down the same chain at open time, and the backend
+actually chosen is recorded per tier in
 :class:`~repro.aio.engine.TierIOStats`.  The ``REPRO_IO_BACKEND`` environment
 variable overrides every by-name selection — the CI forcing knob that runs
 the whole tier-1 suite under ``odirect``.
@@ -55,8 +52,6 @@ _LOG = get_logger("aio.backends")
 #: Default O_DIRECT buffer/offset/length granularity (the common logical
 #: block size; a device wanting 512 works a fortiori with 4096).
 DEFAULT_ALIGNMENT = 4096
-#: Default io_uring submission-queue depth.
-DEFAULT_QUEUE_DEPTH = 8
 #: Default bounce-buffer ceiling for direct I/O (per in-flight operation).
 DEFAULT_BOUNCE_BYTES = 4 << 20
 
@@ -115,10 +110,10 @@ class IOBackend:
     #: Required granularity of raw buffer addresses/offsets/lengths (bytes).
     alignment: int = 1
 
-    def __init__(self, *, alignment: Optional[int] = None, queue_depth: int = DEFAULT_QUEUE_DEPTH):
+    def __init__(self, *, alignment: Optional[int] = None):
         # Accepted (and ignored) uniformly so resolve() can construct any
         # registered backend with one calling convention.
-        del alignment, queue_depth
+        del alignment
 
     def probe(self, directory: "str | os.PathLike[str]") -> None:
         """Raise :class:`BackendUnavailable` unless ``directory`` is servable."""
@@ -195,22 +190,14 @@ class ODirectBackend(IOBackend):
         self,
         *,
         alignment: Optional[int] = None,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         bounce_bytes: int = DEFAULT_BOUNCE_BYTES,
     ):
-        super().__init__(queue_depth=queue_depth)
+        super().__init__()
         align = DEFAULT_ALIGNMENT if alignment is None else int(alignment)
         if align < 1 or align & (align - 1):
             raise ValueError(f"alignment must be a positive power of two, got {align}")
         self.alignment = align
         self.bounce_bytes = max(align, (int(bounce_bytes) // align) * align)
-
-    # The two raw primitives io_uring overrides.
-    def _pread(self, fd: int, buf: np.ndarray, offset: int) -> int:
-        return os.preadv(fd, [buf], offset)
-
-    def _pwrite(self, fd: int, buf: np.ndarray, offset: int) -> int:
-        return os.pwrite(fd, buf, offset)
 
     def probe(self, directory):
         if not hasattr(os, "O_DIRECT"):
@@ -225,9 +212,9 @@ class ODirectBackend(IOBackend):
             raise BackendUnavailable(f"O_DIRECT open failed in {str(directory)!r}: {exc}") from exc
         try:
             try:
-                if self._pwrite(fd, block, 0) != self.alignment:
+                if os.pwrite(fd, block, 0) != self.alignment:
                     raise BackendUnavailable(f"short O_DIRECT probe write in {str(directory)!r}")
-                if self._pread(fd, block, 0) != self.alignment:
+                if os.preadv(fd, [block], 0) != self.alignment:
                     raise BackendUnavailable(f"short O_DIRECT probe read in {str(directory)!r}")
             except OSError as exc:
                 raise BackendUnavailable(
@@ -271,7 +258,7 @@ class ODirectBackend(IOBackend):
                     src_off += take
                 if fill < chunk:
                     bounce[fill:chunk] = 0  # block padding, truncated away below
-                wrote = self._pwrite(fd, bounce[:chunk], file_off)
+                wrote = os.pwrite(fd, bounce[:chunk], file_off)
                 if wrote != chunk:
                     raise OSError(os.strerror(5), f"short O_DIRECT write to {tmp_path}")
                 file_off += chunk
@@ -301,7 +288,7 @@ class ODirectBackend(IOBackend):
             pos = aligned_start
             while pos < end:
                 want = min(bounce_len, _round_up(end - pos, align))
-                got = self._pread(fd, bounce[:want], pos)
+                got = os.preadv(fd, [bounce[:want]], pos)
                 if got <= 0:
                     raise ShortReadError(
                         f"payload ended at byte {max(0, pos - offset)} of {expected}"
@@ -322,64 +309,10 @@ class ODirectBackend(IOBackend):
             os.close(fd)
 
 
-class UringBackend(ODirectBackend):
-    """O_DIRECT submitted through a liburing ring (:mod:`repro.aio.uring`).
-
-    Requires a liburing build that exports the prep helpers as real symbols
-    (``liburing-ffi``); plain ``liburing.so`` keeps them ``static inline``
-    and cannot back a ctypes shim.  One ring per thread (rings are not
-    thread-safe); ring setup is verified at probe time so seccomp'd
-    environments degrade to ``odirect`` instead of failing the first read.
-    """
-
-    name = "io_uring"
-
-    def __init__(
-        self,
-        *,
-        alignment: Optional[int] = None,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        bounce_bytes: int = DEFAULT_BOUNCE_BYTES,
-    ):
-        super().__init__(alignment=alignment, bounce_bytes=bounce_bytes)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        self.queue_depth = int(queue_depth)
-        self._local = threading.local()
-
-    def _ring(self):  # pragma: no cover - requires liburing-ffi
-        ring = getattr(self._local, "ring", None)
-        if ring is None:
-            from repro.aio import uring
-
-            ring = uring.Ring(self.queue_depth)
-            self._local.ring = ring
-        return ring
-
-    def probe(self, directory):
-        from repro.aio import uring
-
-        try:
-            uring.load_liburing()
-        except uring.LiburingUnavailable as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        try:  # pragma: no cover - requires liburing-ffi
-            self._ring()
-        except Exception as exc:  # noqa: BLE001 - any setup failure degrades
-            raise BackendUnavailable(f"io_uring setup failed: {exc}") from exc
-        super().probe(directory)  # pragma: no cover - requires liburing-ffi
-
-    def _pread(self, fd, buf, offset):  # pragma: no cover - requires liburing-ffi
-        return self._ring().pread(fd, buf, offset)
-
-    def _pwrite(self, fd, buf, offset):  # pragma: no cover - requires liburing-ffi
-        return self._ring().pwrite(fd, buf, offset)
-
-
 #: name -> backend class, in registration order.
 _REGISTRY: Dict[str, Type[IOBackend]] = {}
 #: Probe order for ``"auto"``; an explicit name falls back along its suffix.
-AUTO_ORDER: Tuple[str, ...] = ("io_uring", "odirect", "thread")
+AUTO_ORDER: Tuple[str, ...] = ("odirect", "thread")
 
 #: (backend name, filesystem st_dev) -> probe outcome (None = OK, str = why not).
 _PROBE_CACHE: Dict[Tuple[str, int], Optional[str]] = {}
@@ -392,7 +325,7 @@ def register_backend(cls: Type[IOBackend]) -> Type[IOBackend]:
     return cls
 
 
-for _cls in (ThreadBackend, ODirectBackend, UringBackend):
+for _cls in (ThreadBackend, ODirectBackend):
     register_backend(_cls)
 
 
@@ -445,7 +378,6 @@ def resolve(
     directory: "str | os.PathLike[str]",
     *,
     alignment: Optional[int] = None,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
 ) -> IOBackend:
     """The first working backend for ``directory``, starting from ``name``.
 
@@ -468,7 +400,7 @@ def resolve(
     directory = Path(directory)
     failures = []
     for candidate in chain:
-        backend = _REGISTRY[candidate](alignment=alignment, queue_depth=queue_depth)
+        backend = _REGISTRY[candidate](alignment=alignment)
         reason = _probe_cached(backend, directory)
         if reason is not None:
             failures.append(f"{candidate}: {reason}")

@@ -2,11 +2,11 @@
 
 The engine accepts read and write requests against
 :class:`~repro.tiers.spec.BlobStore` tiers (any conforming store — plain
-:class:`~repro.tiers.file_store.FileStore`, mmap-cached, striped,
-fault-injecting) and executes them on a bounded pool of I/O threads,
-returning futures.  The raw syscall discipline underneath each store is the
-store's own pluggable :mod:`repro.aio.backends` backend; the engine records
-which one each tier resolved to in its :class:`TierIOStats`.
+:class:`~repro.tiers.file_store.FileStore`, striped, fault-injecting) and
+executes them on a bounded pool of I/O threads, returning futures.  The raw
+syscall discipline underneath each store is the store's own pluggable
+:mod:`repro.aio.backends` backend; the engine records which one each tier
+resolved to in its :class:`TierIOStats`.
 It mirrors the properties of the paper's DeepNVMe/libaio layer that matter to
 the offloading engines:
 
@@ -189,7 +189,7 @@ class TierIOStats:
     #: The subset of ``failures`` that gave up on the per-request deadline.
     timeouts: int = 0
     #: Name of the raw-I/O backend serving this tier's store
-    #: (``"thread"`` / ``"odirect"`` / ``"io_uring"`` — whatever
+    #: (``"thread"`` / ``"odirect"`` — whatever
     #: :func:`repro.aio.backends.resolve` actually selected after per-tier
     #: probing and fallback, so operators can see which discipline a tier
     #: ended up on).

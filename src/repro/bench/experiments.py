@@ -563,7 +563,7 @@ def striped_read_comparison(
     """Single-path vs striped multi-path subgroup reads on throttled dual tiers.
 
     Runs the *functional* engine twice on identical inputs — once with
-    ``enable_striped_reads`` off (every field lives whole on its placed tier,
+    ``stripe.enabled`` off (every field lives whole on its placed tier,
     so each fetch streams from exactly one path while the other sits idle)
     and once with striping on (each large field is split across NVMe and PFS
     proportionally to their bandwidth and fetched from both paths
@@ -588,7 +588,7 @@ def striped_read_comparison(
     showing both paths pulling their bandwidth-proportional share of every
     striped fetch.
     """
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.train.adam import AdamConfig
     from repro.train.sharding import build_shard_layout, flat_views
@@ -620,8 +620,7 @@ def striped_read_comparison(
             host_cache_bytes=0.0,
             adam=AdamConfig(lr=1e-3),
             pipeline_update_phase=False,
-            enable_striped_reads=striped,
-            stripe_threshold_bytes=float(field_bytes // 2),
+            stripe=StripeConfig(enabled=striped, threshold_bytes=float(field_bytes // 2)),
         )
         throttles = {
             "nvme": BandwidthThrottle(
@@ -771,7 +770,7 @@ def checkpoint_overhead_comparison(
     """
     import time
 
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.train.adam import AdamConfig
     from repro.train.sharding import build_shard_layout, flat_views
@@ -814,7 +813,7 @@ def checkpoint_overhead_comparison(
             checkpoint_dir=str(root / "ckpt") if checkpoint else None,
             checkpoint_link_tier_blobs=link,
             checkpoint_retention=iterations,  # keep every version restorable
-            stripe_threshold_bytes=float(subgroup_params),  # stripe ckpt blobs
+            stripe=StripeConfig(threshold_bytes=float(subgroup_params)),  # stripe ckpt blobs
             # This experiment isolates the async-overlap-vs-sync-stall axis;
             # staged blobs stay raw so the drain thread's codec CPU does not
             # blur it (``checkpoint_compression_comparison`` measures the
@@ -1029,7 +1028,7 @@ def multirank_checkpoint_comparison(
 
     from repro.aio.locks import TierLockManager
     from repro.ckpt.coordinator import CheckpointCoordinator
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.train.adam import AdamConfig
     from repro.train.sharding import build_shard_layout, flat_views
@@ -1073,7 +1072,7 @@ def multirank_checkpoint_comparison(
             checkpoint_dir=str(root / "ckpt"),
             checkpoint_coordination=coordinated,
             checkpoint_retention=iterations,  # keep every version restorable
-            stripe_threshold_bytes=float(subgroup_params),
+            stripe=StripeConfig(threshold_bytes=float(subgroup_params)),
             # Isolate the coordination axis: staged blobs stay raw so the
             # drain codec's CPU cost does not blur the protocol's own cost.
             checkpoint_codec="raw",
@@ -1571,7 +1570,7 @@ def checkpoint_compression_comparison(
     """
     import time
 
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.train.adam import AdamConfig
     from repro.train.sharding import build_shard_layout, flat_views
@@ -1622,7 +1621,7 @@ def checkpoint_compression_comparison(
             checkpoint_retention=iterations,
             # Whole-field blobs: hard-link restores are then pure metadata
             # (striping has its own benchmarks).
-            stripe_threshold_bytes=float(subgroup_params * 24),
+            stripe=StripeConfig(threshold_bytes=float(subgroup_params * 24)),
         )
 
     def make_throttles():
@@ -1821,7 +1820,7 @@ def registry_push_restore_comparison(
     """
     import time
 
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.registry import RegistryServerThread
     from repro.train.adam import AdamConfig
@@ -1854,7 +1853,7 @@ def registry_push_restore_comparison(
             # whole blobs: stripe extents follow run-dependent placement, so
             # only unstriped blobs are stable content-addressed units across
             # jobs — the dedup case under measurement
-            stripe_threshold_bytes=1e12,
+            stripe=StripeConfig(threshold_bytes=1e12),
             checkpoint_dir=str(root / "ckpt"),
             checkpoint_retention=versions,
             checkpoint_registry_url=url,
@@ -2037,7 +2036,7 @@ def io_fault_resilience_comparison(
     state — fault tolerance that changes the training trajectory is a
     silent-corruption bug, not resilience.
     """
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.engine import MLPOffloadEngine
     from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
     from repro.train.adam import AdamConfig
@@ -2070,11 +2069,9 @@ def io_fault_resilience_comparison(
             host_cache_bytes=0.0,
             adam=AdamConfig(lr=1e-3),
             pipeline_update_phase=False,
-            enable_striped_reads=True,
-            stripe_threshold_bytes=float(field_bytes // 2),
+            stripe=StripeConfig(enabled=True, threshold_bytes=float(field_bytes // 2)),
             adaptive_bandwidth=False,
-            io_retry_attempts=3,
-            io_retry_backoff_seconds=0.001,
+            io=IOBackendConfig(retry_attempts=3, retry_backoff_seconds=0.001),
             path_quarantine_failures=2,
             path_probe_interval=4,
         )
@@ -2206,11 +2203,11 @@ def io_backend_codec_comparison(
     """Raw-speed I/O core: pluggable backends x real compression codecs.
 
     Runs the functional engine once per *available* I/O backend (``thread``
-    always; ``odirect``/``io_uring`` when the filesystem and kernel support
-    them) on identical inputs over an unthrottled NVMe+PFS pair — raw
-    device-path speed is the point, so no simulated bandwidth caps.  Every
-    backend must produce bitwise-identical FP16/FP32 training state *and*
-    byte-for-byte identical tier blob files; the gated
+    always; ``odirect`` when the filesystem supports it) on identical inputs
+    over an unthrottled NVMe+PFS pair — raw device-path speed is the point, so
+    no simulated bandwidth caps.  Every backend must produce
+    bitwise-identical FP16/FP32 training state *and* byte-for-byte identical
+    tier blob files; the gated
     ``bitwise_identity_ratio`` headline is the fraction of non-reference
     backends that do (1.0 or the backend layer is corrupting payloads).
 
@@ -2260,9 +2257,8 @@ def io_backend_codec_comparison(
     probe_root = base / "probe"
     probe_root.mkdir(parents=True, exist_ok=True)
     available = ["thread"]
-    for name in ("odirect", "io_uring"):
-        if io_backends.resolve(name, probe_root).name == name:
-            available.append(name)
+    if io_backends.resolve("odirect", probe_root).name == "odirect":
+        available.append("odirect")
 
     def blob_bytes(root: Path) -> Dict[str, bytes]:
         return {

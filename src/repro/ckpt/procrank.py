@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.ckpt.coordinator import LEASE_GLOB, LOCK_NAME, CheckpointCoordinator
 from repro.ckpt.faults import FAULT_ENV
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
 
@@ -101,7 +101,7 @@ def make_config(spec: WorldSpec, world_size: Optional[int] = None) -> MLPOffload
         ),
         subgroup_size=spec.subgroup_size,
         host_cache_bytes=2 * spec.subgroup_size * 12,
-        stripe_threshold_bytes=float(spec.subgroup_size * 2),
+        stripe=StripeConfig(threshold_bytes=float(spec.subgroup_size * 2)),
         checkpoint_dir=str(base / "ckpt"),
         checkpoint_coordination=True,
         checkpoint_world_size=world_size or spec.world_size,
@@ -144,7 +144,7 @@ def reference_state(
         ),
         subgroup_size=spec.subgroup_size,
         host_cache_bytes=2 * spec.subgroup_size * 12,
-        stripe_threshold_bytes=float(spec.subgroup_size * 2),
+        stripe=StripeConfig(threshold_bytes=float(spec.subgroup_size * 2)),
         adam=AdamConfig(lr=1e-3),
     )
     layout = build_shard_layout(

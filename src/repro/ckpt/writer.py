@@ -473,7 +473,7 @@ class CheckpointWriter:
         flat = np.ascontiguousarray(item.array).reshape(-1)
         # Stripe across the first ``stripe_fanout()`` checkpoint stores only,
         # with weights trimmed to the same set (mirrors the virtual tier's
-        # stripe_tier_names handling for stripe_paths < tier count).
+        # stripe_tier_names handling for ``stripe.paths`` < tier count).
         fanout = max(1, min(self.config.stripe_fanout(), len(self.store_names)))
         targets = self.store_names[:fanout]
         extents = plan_stripes(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
-from dataclasses import dataclass, field, asdict, replace as _dc_replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -70,30 +69,18 @@ class IOBackendConfig:
 
     Groups every knob of the read/write *mechanism* (as opposed to data
     placement, which is :class:`StripeConfig`'s concern).  Lives on
-    :attr:`MLPOffloadConfig.io`; the old flat kwargs
-    (``mmap_tier_reads``, ``io_retry_*``, ``io_deadline_seconds``) still
-    construct, with a one-time :class:`DeprecationWarning`.
+    :attr:`MLPOffloadConfig.io`.
     """
 
-    #: I/O backend per tier store: ``"auto"`` probes ``io_uring`` ->
-    #: ``odirect`` -> ``thread`` per filesystem and takes the first that
-    #: works; a concrete name starts the fallback chain at that backend.
+    #: I/O backend per tier store: ``"auto"`` probes ``odirect`` ->
+    #: ``thread`` per filesystem and takes the first that works; a concrete
+    #: name starts the fallback chain at that backend.
     #: See :mod:`repro.aio.backends`.
     backend: str = "auto"
     #: Alignment (bytes) for O_DIRECT-class backends: pool buffers, bounce
     #: buffers and stripe extents are padded to multiples of this.  Must be
     #: a power of two; 4096 covers every mainstream filesystem.
     alignment_bytes: int = 4096
-    #: io_uring submission-queue depth (ignored by other backends).
-    uring_queue_depth: int = 8
-    #: Serve tier reads through ``mmap``
-    #: (:class:`~repro.tiers.mmap_store.MmapFileStore`) instead of
-    #: ``readinto``: hot blobs are copied straight out of the page cache
-    #: mapping, skipping the per-read open/readinto syscalls.  Opt-in;
-    #: on-disk format and byte accounting are identical.  Reads then bypass
-    #: the raw backend, so ``backend="auto"`` resolves to ``thread`` for
-    #: mmap-served tiers.
-    mmap_tier_reads: bool = False
     #: Total tries the async engine gives each tier I/O request (1 = no
     #: retry).  Transient failures (EIO-class errnos, torn-blob reads) are
     #: retried with deterministic exponential backoff before an error ever
@@ -115,8 +102,6 @@ class IOBackendConfig:
             raise ValueError(f"unknown io backend {self.backend!r}; known: {list(choices)}")
         if self.alignment_bytes < 1 or self.alignment_bytes & (self.alignment_bytes - 1):
             raise ValueError("alignment_bytes must be a power of two >= 1")
-        if self.uring_queue_depth < 1:
-            raise ValueError("uring_queue_depth must be >= 1")
         if self.retry_attempts < 1:
             raise ValueError("retry_attempts must be >= 1 (1 = no retry)")
         if self.retry_backoff_seconds < 0:
@@ -129,10 +114,7 @@ class IOBackendConfig:
 class StripeConfig:
     """Multi-path striping of large fields across the physical tiers.
 
-    Lives on :attr:`MLPOffloadConfig.stripe`; the old flat kwargs
-    (``enable_striped_reads``, ``stripe_threshold_bytes``, ``stripe_paths``,
-    ``crash_safe_striped_flush``) still construct, with a one-time
-    :class:`DeprecationWarning`.
+    Lives on :attr:`MLPOffloadConfig.stripe`.
     """
 
     #: Stripe large fields across the physical paths so one fetch streams
@@ -148,13 +130,6 @@ class StripeConfig:
     #: value of 1 degenerates striping into the unstriped baseline
     #: byte-for-byte.
     paths: int = 0
-    #: Commit a striped flush's manifest only after every stripe write has
-    #: landed (stripe-epoch keys + commit-after-barrier), so a crash
-    #: mid-flush leaves the key reading as the complete *old* value instead
-    #: of a manifest referencing mixed stripes.  Off = the manifest-first
-    #: layout (one fewer manifest write per re-planned flush) as the
-    #: ablation baseline.
-    crash_safe_flush: bool = True
 
     def __post_init__(self) -> None:
         if self.threshold_bytes < 0:
@@ -213,7 +188,7 @@ class MLPOffloadConfig:
     #: synchronous per-subgroup flush as the ablation baseline.  No effect on
     #: the delayed-FP16 policy (which flushes nothing during backward).
     pipeline_backward_flush: bool = True
-    #: I/O mechanism knobs (raw backend, alignment, mmap reads, retries);
+    #: I/O mechanism knobs (raw backend, alignment, retries);
     #: see :class:`IOBackendConfig`.
     io: IOBackendConfig = field(default_factory=IOBackendConfig)
     #: Multi-path striping knobs; see :class:`StripeConfig`.
@@ -342,45 +317,6 @@ class MLPOffloadConfig:
             raise ValueError("path_quarantine_failures must be >= 0 (0 = disabled)")
         if self.path_probe_interval < 1:
             raise ValueError("path_probe_interval must be >= 1")
-
-    # -- deprecated flat-field read access ---------------------------------
-    # The flat I/O / striping knobs of earlier releases now live on the
-    # ``io`` and ``stripe`` sub-configs.  Reads through the old names keep
-    # working (no warning — the nested field is the single source of truth);
-    # *constructing* with the old names warns once per name (see the shim
-    # installed below the class).
-
-    @property
-    def mmap_tier_reads(self) -> bool:
-        return self.io.mmap_tier_reads
-
-    @property
-    def io_retry_attempts(self) -> int:
-        return self.io.retry_attempts
-
-    @property
-    def io_retry_backoff_seconds(self) -> float:
-        return self.io.retry_backoff_seconds
-
-    @property
-    def io_deadline_seconds(self) -> float:
-        return self.io.deadline_seconds
-
-    @property
-    def enable_striped_reads(self) -> bool:
-        return self.stripe.enabled
-
-    @property
-    def stripe_threshold_bytes(self) -> float:
-        return self.stripe.threshold_bytes
-
-    @property
-    def stripe_paths(self) -> int:
-        return self.stripe.paths
-
-    @property
-    def crash_safe_striped_flush(self) -> bool:
-        return self.stripe.crash_safe_flush
 
     # -- convenience accessors -------------------------------------------
 
@@ -511,36 +447,19 @@ class MLPOffloadConfig:
         block = payload["mlp_offload"]
         tiers = tuple(TierConfig(**t) for t in block.get("tiers", []))
         adam = AdamConfig(**block.get("adam", {}))
-        # Nested blocks win; flat keys from configs serialized before the
-        # io/stripe namespacing are honoured as a fallback.
         io_block = block.get("io", {})
         io_cfg = IOBackendConfig(
             backend=str(io_block.get("backend", "auto")),
             alignment_bytes=int(io_block.get("alignment_bytes", 4096)),
-            uring_queue_depth=int(io_block.get("uring_queue_depth", 8)),
-            mmap_tier_reads=bool(
-                io_block.get("mmap_tier_reads", block.get("mmap_tier_reads", False))
-            ),
-            retry_attempts=int(io_block.get("retry_attempts", block.get("io_retry_attempts", 3))),
-            retry_backoff_seconds=float(
-                io_block.get("retry_backoff_seconds", block.get("io_retry_backoff_seconds", 0.002))
-            ),
-            deadline_seconds=float(
-                io_block.get("deadline_seconds", block.get("io_deadline_seconds", 0.0))
-            ),
+            retry_attempts=int(io_block.get("retry_attempts", 3)),
+            retry_backoff_seconds=float(io_block.get("retry_backoff_seconds", 0.002)),
+            deadline_seconds=float(io_block.get("deadline_seconds", 0.0)),
         )
         stripe_block = block.get("stripe", {})
         stripe_cfg = StripeConfig(
-            enabled=bool(stripe_block.get("enabled", block.get("striped_reads", True))),
-            threshold_bytes=parse_bytes(
-                stripe_block.get(
-                    "threshold_bytes", block.get("stripe_threshold_bytes", float(1 << 20))
-                )
-            ),
-            paths=int(stripe_block.get("paths", block.get("stripe_paths", 0))),
-            crash_safe_flush=bool(
-                stripe_block.get("crash_safe_flush", block.get("crash_safe_striped_flush", True))
-            ),
+            enabled=bool(stripe_block.get("enabled", True)),
+            threshold_bytes=parse_bytes(stripe_block.get("threshold_bytes", float(1 << 20))),
+            paths=int(stripe_block.get("paths", 0)),
         )
         return cls(
             tiers=tiers,
@@ -623,61 +542,3 @@ class MLPOffloadConfig:
             # improvement and must not leak into the comparison.
             pipeline_backward_flush=False,
         )
-
-
-# -- flat-kwarg back-compat shim ------------------------------------------
-#: Old flat constructor kwargs -> (sub-config field, attribute within it).
-_FLAT_FIELD_MAP: Dict[str, Tuple[str, str]] = {
-    "mmap_tier_reads": ("io", "mmap_tier_reads"),
-    "io_retry_attempts": ("io", "retry_attempts"),
-    "io_retry_backoff_seconds": ("io", "retry_backoff_seconds"),
-    "io_deadline_seconds": ("io", "deadline_seconds"),
-    "enable_striped_reads": ("stripe", "enabled"),
-    "stripe_threshold_bytes": ("stripe", "threshold_bytes"),
-    "stripe_paths": ("stripe", "paths"),
-    "crash_safe_striped_flush": ("stripe", "crash_safe_flush"),
-}
-
-_GROUP_DEFAULTS = {"io": IOBackendConfig, "stripe": StripeConfig}
-
-#: Flat kwargs already warned about (warn once per name per process).
-_WARNED_FLAT_KWARGS: set = set()
-
-
-def _install_flat_kwarg_shim() -> None:
-    """Let ``MLPOffloadConfig(mmap_tier_reads=True, ...)`` keep constructing.
-
-    Wraps the dataclass-generated ``__init__``: flat kwargs from before the
-    ``io``/``stripe`` namespacing are translated into the matching sub-config
-    (merged into an explicitly passed one via :func:`dataclasses.replace`),
-    emitting a :class:`DeprecationWarning` once per flat name.  This also
-    covers ``dataclasses.replace(config, stripe_paths=2)``, which routes its
-    changes through ``__init__``.
-    """
-    generated_init = MLPOffloadConfig.__init__
-
-    def shimmed_init(self, *args, **kwargs) -> None:
-        grouped: Dict[str, Dict[str, object]] = {}
-        for flat, (group, attr) in _FLAT_FIELD_MAP.items():
-            if flat in kwargs:
-                grouped.setdefault(group, {})[attr] = kwargs.pop(flat)
-                if flat not in _WARNED_FLAT_KWARGS:
-                    _WARNED_FLAT_KWARGS.add(flat)
-                    warnings.warn(
-                        f"MLPOffloadConfig({flat}=...) is deprecated; "
-                        f"use {group}={_GROUP_DEFAULTS[group].__name__}({attr}=...)",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-        for group, attrs in grouped.items():
-            base = kwargs.get(group)
-            kwargs[group] = (
-                _GROUP_DEFAULTS[group](**attrs) if base is None else _dc_replace(base, **attrs)
-            )
-        generated_init(self, *args, **kwargs)
-
-    shimmed_init.__wrapped__ = generated_init  # type: ignore[attr-defined]
-    MLPOffloadConfig.__init__ = shimmed_init  # type: ignore[method-assign]
-
-
-_install_flat_kwarg_shim()

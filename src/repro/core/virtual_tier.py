@@ -7,9 +7,9 @@ only with subgroup-level operations (``fetch``, ``flush``, ``prefetch``) and
 never see individual files or tiers directly — exactly the "unified
 multi-level, multi-path asynchronous offloading using virtual tiers" of §3.2.
 
-With :attr:`~repro.core.config.MLPOffloadConfig.enable_striped_reads` on (and
-at least two active paths), fields whose payload exceeds
-``stripe_threshold_bytes`` are striped across the paths through a
+With :attr:`StripeConfig.enabled <repro.core.config.StripeConfig.enabled>` on
+(and at least two active paths), fields whose payload exceeds
+``stripe.threshold_bytes`` are striped across the paths through a
 :class:`~repro.tiers.striped_store.StripedStore`: flushes write one blob per
 stripe (each write still single-path), and prefetches fan the stripes out
 through :meth:`AsyncIOEngine.read_into_multi` so NVMe and PFS stream into
@@ -47,7 +47,6 @@ from repro.core.placement import PlacementMap
 from repro.aio import backends as io_backends
 from repro.tiers import faultstore
 from repro.tiers.file_store import FileStore, StoreError, element_count
-from repro.tiers.mmap_store import MmapFileStore
 from repro.tiers.spec import BlobStore, degraded_weights
 from repro.tiers.striped_store import DegradedReadError, StripedStore
 from repro.util.logging import get_logger
@@ -249,28 +248,19 @@ class VirtualTier:
         active_tiers = config.tiers if config.enable_multipath else (config.primary_tier,)
         self.tier_names: List[str] = [t.name for t in active_tiers]
         self.stores: Dict[str, BlobStore] = {}
-        store_cls = MmapFileStore if config.io.mmap_tier_reads else FileStore
-        # mmap-served reads bypass the raw backend entirely, so "auto" would
-        # pay O_DIRECT's bounce-buffer writes for no read-side gain there.
-        backend_name = config.io.backend
-        if config.io.mmap_tier_reads and backend_name == "auto":
-            backend_name = "thread"
         for tier in active_tiers:
             throttle = None
             if throttles is not None:
                 throttle = throttles.get(tier.name)  # type: ignore[assignment]
-            # Resolve the raw-I/O backend per tier: availability (O_DIRECT,
-            # io_uring) is a property of each path's filesystem, so one tier
-            # may run odirect while another falls back to thread.
+            # Resolve the raw-I/O backend per tier: O_DIRECT availability is
+            # a property of each path's filesystem, so one tier may run
+            # odirect while another falls back to thread.
             tier_path = Path(tier.path)
             tier_path.mkdir(parents=True, exist_ok=True)
             backend = io_backends.resolve(
-                backend_name,
-                tier_path,
-                alignment=config.io.alignment_bytes,
-                queue_depth=config.io.uring_queue_depth,
+                config.io.backend, tier_path, alignment=config.io.alignment_bytes
             )
-            self.stores[tier.name] = store_cls(
+            self.stores[tier.name] = FileStore(
                 tier_path,
                 name=tier.name,
                 throttle=throttle,
@@ -327,7 +317,6 @@ class VirtualTier:
             self.striped = StripedStore(
                 stripe_stores,
                 threshold_bytes=config.stripe.threshold_bytes,
-                crash_safe=config.stripe.crash_safe_flush,
                 # O_DIRECT-backed paths need every stripe start on an aligned
                 # byte boundary; thread-backed paths report alignment 1 and
                 # the plans stay byte-identical to the unaligned layout.
@@ -422,70 +411,43 @@ class VirtualTier:
             ):
                 # Stripe the field across the paths; each stripe is written
                 # through the engine as an ordinary single-path write.
-                if not self.striped.crash_safe and not self.striped.is_striped(key):
-                    # First striped write of this key: a stale whole blob may
-                    # sit on a tier outside the stripe set (plan_save sweeps
-                    # only its own backends); remove it so no reader can ever
-                    # observe the outdated representation.  (In crash-safe
-                    # mode this sweep runs *after* the commit —
-                    # :meth:`_commit_striped` — so a crash mid-flush never
-                    # loses the only copy.)
-                    for tier_name in self.tier_names:
-                        if (
-                            tier_name not in self.stripe_tier_names
-                            and self.stores[tier_name].contains(key)
-                        ):
-                            self.stores[tier_name].delete(key)
                 parts = self.striped.plan_save(key, array, weights=self._stripe_weights())
-                aggregate = self.engine.write_multi(
-                    [(p.tier, p.key, p.array) for p in parts], key=key, worker=self.worker
+                # Commit-after-barrier: the manifest flips to the new stripe
+                # epoch only once every stripe write has landed, chained
+                # behind the aggregate future so whoever awaits the flush
+                # also observes the commit.  A failed barrier abandons the
+                # plan instead — the committed generation stays
+                # authoritative and the next commit's orphan sweep is
+                # re-armed for the partial stripes left behind.
+                aggregate = chain_io_result(
+                    self.engine.write_multi(
+                        [(p.tier, p.key, p.array) for p in parts], key=key, worker=self.worker
+                    ),
+                    lambda _result, k=key: self._commit_striped(k),
+                    on_error=lambda _result, k=key: self.striped.abandon_save(k),
                 )
-                if self.striped.crash_safe:
-                    # Commit-after-barrier: the manifest flips to the new
-                    # stripe epoch only once every stripe write has landed,
-                    # chained behind the aggregate future so whoever awaits
-                    # the flush also observes the commit.  A failed barrier
-                    # abandons the plan instead — the committed generation
-                    # stays authoritative and the next commit's orphan sweep
-                    # is re-armed for the partial stripes left behind.
-                    aggregate = chain_io_result(
-                        aggregate,
-                        lambda _result, k=key: self._commit_striped(k),
-                        on_error=lambda _result, k=key: self.striped.abandon_save(k),
-                    )
                 futures.append(
                     self._with_write_failover(aggregate, key, array, subgroup_id)
                 )
             elif self.striped is not None and self.striped.is_striped(key):
                 # The field shrank below the threshold (or striping policy
-                # changed): downgrade striped → whole.
-                if self.striped.crash_safe:
-                    # Land the whole blob first; drop the stale striped
-                    # layout only behind the barrier.  Until the drop, the
-                    # manifest stays authoritative (readers see the complete
-                    # old value), so a crash anywhere in between never
-                    # leaves the field without a complete representation.
-                    futures.append(
-                        self._with_write_failover(
-                            chain_io_result(
-                                self.engine.write(target, key, array, worker=self.worker),
-                                lambda _result, k=key: self.striped.drop_stripes(k),
-                            ),
-                            key,
-                            array,
-                            subgroup_id,
-                        )
-                    )
-                else:
-                    self.striped.drop_stripes(key)
-                    futures.append(
-                        self._with_write_failover(
+                # changed): downgrade striped → whole.  Land the whole blob
+                # first; drop the stale striped layout only behind the
+                # barrier.  Until the drop, the manifest stays authoritative
+                # (readers see the complete old value), so a crash anywhere
+                # in between never leaves the field without a complete
+                # representation.
+                futures.append(
+                    self._with_write_failover(
+                        chain_io_result(
                             self.engine.write(target, key, array, worker=self.worker),
-                            key,
-                            array,
-                            subgroup_id,
-                        )
+                            lambda _result, k=key: self.striped.drop_stripes(k),
+                        ),
+                        key,
+                        array,
+                        subgroup_id,
                     )
+                )
             else:
                 futures.append(
                     self._with_write_failover(
@@ -503,7 +465,7 @@ class VirtualTier:
         return futures
 
     def _commit_striped(self, key: str) -> None:
-        """Commit a crash-safe striped flush and finish the stale-blob sweep.
+        """Commit a striped flush and finish the stale-blob sweep.
 
         Runs as the chained epilogue of the flush's aggregate write future.
         :meth:`StripedStore.commit_save` sweeps its own backends; whole
@@ -593,7 +555,7 @@ class VirtualTier:
             ):
                 # Re-stripe over the survivors: the degraded weights give
                 # the dead path zero extents, and save_from handles its own
-                # crash-safe commit (or abandon on failure).
+                # commit (or abandon on failure).
                 self.striped.save_from(key, array, weights=self._stripe_weights())
                 routed = "surviving stripe paths"
             else:

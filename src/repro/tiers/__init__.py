@@ -35,7 +35,6 @@ from repro.tiers.faultstore import (
 )
 from repro.tiers.file_store import FileStore, StoreError, TruncatedBlobError, blob_nbytes
 from repro.tiers.host_buffer import BufferPool, BufferPoolExhausted, PinnedBuffer
-from repro.tiers.mmap_store import MmapFileStore
 from repro.tiers.host_cache import CacheEntry, HostSubgroupCache
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "MemoryAccountant",
     "OutOfMemoryError",
     "FileStore",
-    "MmapFileStore",
     "StoreError",
     "BufferPool",
     "PinnedBuffer",

@@ -4,9 +4,9 @@ PRs 6 and 8 gave the checkpoint *protocol* and the registry *service*
 SIGKILL-grade fault matrices; this module does the same for the tier I/O
 *core* underneath them.  A :class:`FaultInjectingStore` wraps any
 ``FileStore``-shaped backend (:class:`~repro.tiers.file_store.FileStore`,
-:class:`~repro.tiers.mmap_store.MmapFileStore`, a striped backend, a
-checkpoint blob store) and injects scheduled faults on the data-plane
-operations — reads, writes — according to a :class:`FaultPlan`:
+a striped backend, a checkpoint blob store) and injects scheduled faults on
+the data-plane operations — reads, writes — according to a
+:class:`FaultPlan`:
 
 =============   =============================================================
 ``eio``         transient ``OSError(EIO)`` (heals after ``count`` hits)

@@ -201,7 +201,7 @@ class FileStore(BlobStore):
     backend:
         Raw-I/O discipline for blob payloads: an
         :class:`~repro.aio.backends.IOBackend` instance, a backend name
-        (``"auto"``/``"thread"``/``"odirect"``/``"io_uring"``, resolved with
+        (``"auto"``/``"thread"``/``"odirect"``, resolved with
         per-tier fallback against ``root``'s filesystem — see
         :func:`repro.aio.backends.resolve`), or ``None`` for the
         ``REPRO_IO_BACKEND`` environment override falling back to
@@ -262,8 +262,13 @@ class FileStore(BlobStore):
         self._write_seconds = 0.0
         self._sizes: Dict[str, int] = {}
         # Re-discover any pre-existing blobs (e.g. the store survived a restart).
+        # Peer ranks sharing the directory may retire a blob between the
+        # listing and the stat; a vanished entry is simply not there.
         for path in self.root.glob("*.bin"):
-            self._sizes[path.stem] = path.stat().st_size
+            try:
+                self._sizes[path.stem] = path.stat().st_size
+            except FileNotFoundError:
+                continue
         self._sweep_stale_tmp()
 
     # -- helpers ---------------------------------------------------------
@@ -765,7 +770,7 @@ class FileStore(BlobStore):
     def clear(self) -> None:
         """Delete all keys."""
         for path in self.root.glob("*.bin"):
-            path.unlink()
+            path.unlink(missing_ok=True)
         with self._lock:
             self._sizes.clear()
             self._checksums.clear()

@@ -220,10 +220,10 @@ class BlobStore(Protocol):
 
     This is the contract :class:`~repro.aio.engine.AsyncIOEngine`,
     :class:`~repro.core.virtual_tier.VirtualTier` and :mod:`repro.ckpt` are
-    typed against — previously an *implicit* interface that five
+    typed against — previously an *implicit* interface that four
     implementations (:class:`~repro.tiers.file_store.FileStore`,
-    ``MmapFileStore``, ``StripedStore``, ``FaultInjectingStore``, the ckpt
-    CAS stores) happened to share.  ``FileStore``-family stores declare
+    ``StripedStore``, ``FaultInjectingStore``, the ckpt CAS stores)
+    happened to share.  ``FileStore``-family stores declare
     conformance by subclassing; proxy stores like ``FaultInjectingStore``
     conform structurally (subclassing would let the protocol's placeholder
     bodies shadow their ``__getattr__`` delegation).  The shared behavioural

@@ -13,8 +13,14 @@ simultaneously.
 
 On-store layout for a striped key ``k``::
 
-    <primary>/k.stripemeta.bin      int64 manifest (dtype, shape, extents)
-    <path p of stripe i>/k.stripe<i>.bin   one plain FileStore blob per stripe
+    <primary>/k.stripemeta.bin      int64 manifest (dtype, shape, epoch, extents)
+    <path p of stripe i>/k.stripe<i>.bin      stripe blob, epoch 0
+    <path p of stripe i>/k.e1.stripe<i>.bin   stripe blob, epoch 1
+
+Writes are commit-after-barrier: a flush targets the epoch the committed
+manifest does *not* reference, and the manifest flips only once every stripe
+blob has landed, so a crash mid-flush leaves the key reading as the complete
+previous value.
 
 Fields below the striping threshold (or plans that degenerate to one extent
 because only one path is configured) are stored as a single whole blob under
@@ -63,9 +69,7 @@ _LOG = get_logger("tiers.striped_store")
 MANIFEST_SUFFIX = ".stripemeta"
 #: Magic first element guarding manifest blobs against foreign int64 arrays.
 _MANIFEST_MAGIC = 0x53545250  # "STRP"
-#: Version 2 adds the stripe epoch (crash-safe commit-after-barrier writes);
-#: version-1 manifests decode as epoch 0, whose stripe keys keep the legacy
-#: epoch-less names — on-disk layouts from before epochs remain readable.
+#: The only manifest version written or accepted (carries the stripe epoch).
 _MANIFEST_VERSION = 2
 
 #: Stable dtype <-> code mapping for the int64 manifest encoding.
@@ -122,9 +126,9 @@ class _Manifest:
     dtype: np.dtype
     shape: Tuple[int, ...]
     extents: Tuple[StripeExtent, ...]
-    #: Stripe epoch the extents' blobs live under (0 = legacy epoch-less
-    #: keys).  Crash-safe writes ping-pong between two epochs so the
-    #: committed manifest always references a complete generation.
+    #: Stripe epoch (0 or 1) the extents' blobs live under.  Writes
+    #: ping-pong between the two so the committed manifest always
+    #: references a complete generation.
     epoch: int = 0
 
     @property
@@ -133,28 +137,15 @@ class _Manifest:
 
 
 def _encode_manifest(manifest: _Manifest) -> np.ndarray:
-    # Epoch-0 layouts are exactly what version 1 represents — emit v1 for
-    # them so tier directories written by this release stay readable after a
-    # rollback to the previous one (which rejects unknown versions).
-    if manifest.epoch == 0:
-        head = [
-            _MANIFEST_MAGIC,
-            1,
-            _DTYPE_CODES[manifest.dtype.name],
-            len(manifest.shape),
-            *manifest.shape,
-            len(manifest.extents),
-        ]
-    else:
-        head = [
-            _MANIFEST_MAGIC,
-            _MANIFEST_VERSION,
-            _DTYPE_CODES[manifest.dtype.name],
-            manifest.epoch,
-            len(manifest.shape),
-            *manifest.shape,
-            len(manifest.extents),
-        ]
+    head = [
+        _MANIFEST_MAGIC,
+        _MANIFEST_VERSION,
+        _DTYPE_CODES[manifest.dtype.name],
+        manifest.epoch,
+        len(manifest.shape),
+        *manifest.shape,
+        len(manifest.extents),
+    ]
     body: List[int] = []
     for ext in manifest.extents:
         body.extend((ext.path, ext.start, ext.count))
@@ -163,25 +154,19 @@ def _encode_manifest(manifest: _Manifest) -> np.ndarray:
 
 def _decode_manifest(blob: np.ndarray, key: str) -> _Manifest:
     data = np.asarray(blob, dtype=np.int64).reshape(-1)
-    if data.size < 5 or int(data[0]) != _MANIFEST_MAGIC:
+    if data.size < 6 or int(data[0]) != _MANIFEST_MAGIC:
         raise StoreError(f"stripe manifest for {key!r} is malformed")
     version = int(data[1])
-    if version not in (1, 2):
+    if version != _MANIFEST_VERSION:
         raise StoreError(f"stripe manifest for {key!r} has unsupported version {version}")
     dtype_name = _CODE_DTYPES.get(int(data[2]))
     if dtype_name is None:
         raise StoreError(f"stripe manifest for {key!r} has unknown dtype code {int(data[2])}")
-    offset = 3
-    epoch = 0
-    if version >= 2:
-        epoch = int(data[offset])
-        offset += 1
-        if epoch < 0:
-            raise StoreError(f"stripe manifest for {key!r} has negative epoch {epoch}")
-    if data.size < offset + 2:
-        raise StoreError(f"stripe manifest for {key!r} is truncated")
-    ndim = int(data[offset])
-    offset += 1
+    epoch = int(data[3])
+    if epoch < 0:
+        raise StoreError(f"stripe manifest for {key!r} has negative epoch {epoch}")
+    ndim = int(data[4])
+    offset = 5
     if ndim < 0 or data.size < offset + ndim + 1:
         raise StoreError(f"stripe manifest for {key!r} is truncated")
     shape = tuple(int(x) for x in data[offset : offset + ndim])
@@ -227,19 +212,9 @@ class StripedStore(BlobStore):
     replan_tolerance:
         Maximum per-stripe share drift (fraction of the field) tolerated
         before a re-flush records a new layout.  Within the tolerance the
-        previously recorded extents are reused; without ``crash_safe`` that
-        also skips the synchronous manifest rewrite even as the adaptive
-        bandwidth weights wobble (with ``crash_safe`` the manifest is
-        rewritten every flush to flip the epoch, but the extent geometry —
-        and hence the stripe *sizes* — still hold steady).
-    crash_safe:
-        Commit-after-barrier writes: :meth:`plan_save` targets a fresh
-        stripe *epoch* and publishes nothing; only :meth:`commit_save` —
-        called after every stripe write has landed — atomically rewrites the
-        manifest to the new epoch and sweeps the old one.  A crash mid-flush
-        therefore leaves the key reading as the complete previous value.
-        Off (the default) keeps the manifest-first layout, where a crash
-        mid-flush can leave the manifest referencing mixed old/new stripes.
+        previously recorded extents are reused, so the stripe *sizes* hold
+        steady as the adaptive bandwidth weights wobble (the manifest is
+        still rewritten every flush to flip the epoch).
     name:
         Diagnostic name.
     align_bytes:
@@ -257,7 +232,6 @@ class StripedStore(BlobStore):
         threshold_bytes: float = 1 << 20,
         stripe_bytes: Optional[int] = None,
         replan_tolerance: float = 0.02,
-        crash_safe: bool = False,
         name: str = "striped",
         align_bytes: int = 1,
     ) -> None:
@@ -277,11 +251,10 @@ class StripedStore(BlobStore):
         self.threshold_bytes = float(threshold_bytes)
         self.stripe_bytes = stripe_bytes
         self.replan_tolerance = float(replan_tolerance)
-        self.crash_safe = bool(crash_safe)
         self.name = name
         self._lock = threading.Lock()
         self._manifests: Dict[str, _Manifest] = {}
-        #: Crash-safe plans awaiting their commit (key → uncommitted manifest).
+        #: Plans awaiting their commit (key → uncommitted manifest).
         self._pending_plans: Dict[str, _Manifest] = {}
         #: Keys whose same-epoch orphan sweep already ran this lifetime.
         #: Crashed-predecessor orphans can only predate this process (or an
@@ -312,13 +285,13 @@ class StripedStore(BlobStore):
 
     @staticmethod
     def stripe_key(key: str, index: int, epoch: int = 0) -> str:
-        """Blob key of stripe ``index`` under ``epoch`` (0 = legacy naming)."""
+        """Blob key of stripe ``index`` under ``epoch``."""
         if epoch == 0:
             return f"{key}.stripe{index}"
         return f"{key}.e{epoch}.stripe{index}"
 
     def epoch_of(self, key: str) -> int:
-        """The committed stripe epoch of ``key`` (0 when unstriped/legacy)."""
+        """The committed stripe epoch of ``key`` (0 when unstriped)."""
         manifest = self._load_manifest(key)
         return manifest.epoch if manifest is not None else 0
 
@@ -374,7 +347,7 @@ class StripedStore(BlobStore):
 
         Negative results are cached too (``None`` entries), so the hot
         prefetch path does not re-stat the manifest file of a never-striped
-        key on every fetch; :meth:`plan_save` and :meth:`drop_stripes` own
+        key on every fetch; :meth:`commit_save` and :meth:`drop_stripes` own
         the cache and keep it coherent with the store's own writes.
         """
         with self._lock:
@@ -397,27 +370,21 @@ class StripedStore(BlobStore):
     def plan_save(
         self, key: str, array: np.ndarray, *, weights: Optional[Sequence[float]] = None
     ) -> List[StripePart]:
-        """Write ``key``'s manifest and return the per-stripe write work items.
+        """Plan a striped write of ``key``; return the per-stripe work items.
 
-        The caller (typically :class:`~repro.core.virtual_tier.VirtualTier`)
-        executes the returned parts — sequentially or through the async
-        engine; writes are single-path per stripe either way.  ``array`` must
-        be C-contiguous; each part's ``array`` is a flat view into it, so the
-        caller must keep ``array`` alive until all part writes complete.
-        ``weights`` (per backend, same order) sizes the stripes
-        proportionally to path bandwidth.
+        The parts target the stripe epoch the committed manifest does *not*
+        reference, and nothing is published: the caller (typically
+        :class:`~repro.core.virtual_tier.VirtualTier`) executes the returned
+        parts — sequentially or through the async engine; writes are
+        single-path per stripe either way — and then calls
+        :meth:`commit_save` once every write has landed, or
+        :meth:`abandon_save` if one failed.  Until the commit, readers keep
+        seeing the complete previous value.
 
-        A stale whole blob under ``key`` (from an earlier unstriped write) is
-        removed from every backend so readers cannot observe both
-        representations, and stripe blobs orphaned by an extent change are
-        swept.
-
-        Crash-consistency caveat: the manifest is durable before the stripe
-        writes land, so a crash mid-flush can leave a manifest referencing a
-        mix of old and new stripe blobs (the same exposure a crash
-        mid-*phase* has across fields).  A crash-safe striped flush
-        (stripe-epoch keys + manifest commit after the write barrier) rides
-        with the striped-write fan-out item on the roadmap.
+        ``array`` must be C-contiguous; each part's ``array`` is a flat view
+        into it, so the caller must keep ``array`` alive until all part
+        writes complete.  ``weights`` (per backend, same order) sizes the
+        stripes proportionally to path bandwidth.
         """
         contiguous = np.ascontiguousarray(array)
         flat = contiguous.reshape(-1)
@@ -431,18 +398,11 @@ class StripedStore(BlobStore):
             align_bytes=self.align_bytes,
         )
         old = self._load_manifest(key)
-        # Crash-safe targets the *other* epoch (commit_save flips the
-        # manifest after the write barrier); legacy keeps the epoch and
-        # publishes immediately.  Either way, steady state re-flushes a key
-        # with unchanged geometry and nearly unchanged weights (the adaptive
-        # estimator drifts a little every iteration), so the re-plan
-        # tolerance reuses the recorded extents — stabilizing stripe sizes
-        # across epoch flips and, without crash_safe, keeping the
-        # synchronous (throttled) manifest rewrite off the hot path.
-        if self.crash_safe:
-            epoch = 0 if old is None else (1 if old.epoch == 0 else 0)
-        else:
-            epoch = old.epoch if old is not None else 0
+        # Steady state re-flushes a key with unchanged geometry and nearly
+        # unchanged weights (the adaptive estimator drifts a little every
+        # iteration), so the re-plan tolerance reuses the recorded extents —
+        # stabilizing stripe sizes across epoch flips.
+        epoch = 0 if old is None else (1 if old.epoch == 0 else 0)
         manifest = _Manifest(
             dtype=contiguous.dtype, shape=contiguous.shape, extents=extents, epoch=epoch
         )
@@ -450,34 +410,10 @@ class StripedStore(BlobStore):
             manifest = _Manifest(
                 dtype=old.dtype, shape=old.shape, extents=old.extents, epoch=epoch
             )
-        extents = manifest.extents
-        if self.crash_safe:
-            with self._lock:
-                self._pending_plans[key] = manifest
-        else:
-            if old != manifest:
-                self.primary.save_from(self.manifest_key(key), _encode_manifest(manifest))
-                for backend in self.backends:
-                    # A whole blob from an earlier unstriped write may live on
-                    # *any* backend (the placement map chose it); remove every
-                    # copy so readers cannot observe both representations.
-                    if backend.contains(key):
-                        backend.delete(key)
-                if old is not None:
-                    # Extents moved (e.g. the bandwidth weights drifted): drop
-                    # old stripe blobs the new plan will not overwrite in place.
-                    new_locations = {(e.index, e.path) for e in extents}
-                    for ext in old.extents:
-                        if (ext.index, ext.path) in new_locations or ext.path >= self.num_paths:
-                            continue
-                        backend = self.backends[ext.path]
-                        stale = self.stripe_key(key, ext.index, old.epoch)
-                        if backend.contains(stale):
-                            backend.delete(stale)
-                with self._lock:
-                    self._manifests[key] = manifest
+        with self._lock:
+            self._pending_plans[key] = manifest
         parts = []
-        for ext in extents:
+        for ext in manifest.extents:
             backend = self.backends[ext.path]
             part = StripePart(
                 tier=backend.name,
@@ -490,7 +426,7 @@ class StripedStore(BlobStore):
         return parts
 
     def commit_save(self, key: str) -> bool:
-        """Publish the pending crash-safe plan of ``key`` (the barrier's tail).
+        """Publish the pending plan of ``key`` (the write barrier's tail).
 
         Must only be called once every stripe write of the matching
         :meth:`plan_save` has landed.  Atomically rewrites the manifest to
@@ -537,7 +473,7 @@ class StripedStore(BlobStore):
         return sweep
 
     def abandon_save(self, key: str) -> None:
-        """Drop the pending crash-safe plan of ``key`` (failed write barrier).
+        """Drop the pending plan of ``key`` (failed write barrier).
 
         The committed manifest — and therefore every reader — is untouched;
         stripe blobs the failed flush already wrote become orphans of the
@@ -564,7 +500,7 @@ class StripedStore(BlobStore):
         stripe list: ``(backend_name, source_path, start, count, checksum)``
         per stripe, contiguous and covering ``[0, count)`` elements.  The
         manifest is committed only after every link exists (the same
-        commit-after-barrier discipline as a crash-safe flush).
+        commit-after-barrier discipline as a flush).
         """
         names = {backend.name: i for i, backend in enumerate(self.backends)}
         extents: List[StripeExtent] = []
@@ -644,10 +580,11 @@ class StripedStore(BlobStore):
 
         Below the threshold (or with a single backend) the array is written
         whole to the primary — producing exactly the bytes a plain
-        :class:`FileStore` would.  Above it, the manifest plus one blob per
-        stripe are written *sequentially* (single-path writes; concurrent
-        write fan-out is future work).  Returns the total payload+header
-        bytes written, stripes and manifest included.
+        :class:`FileStore` would.  Above it, one blob per stripe is written
+        *sequentially* (single-path writes; the async engine's
+        ``write_multi`` is the concurrent fan-out) and the manifest is
+        committed behind them.  Returns the total payload+header bytes
+        written, stripes and manifest included.
 
         The caller keeps ownership of ``array``; it is never retained.
         """
@@ -662,11 +599,9 @@ class StripedStore(BlobStore):
             for part in parts:
                 total += self._backend_by_name(part.tier).save_from(part.key, part.array)
         except BaseException:
-            if self.crash_safe:
-                self.abandon_save(key)
+            self.abandon_save(key)
             raise
-        if self.crash_safe:
-            self.commit_save(key)
+        self.commit_save(key)
         return total + self.primary.size_of(self.manifest_key(key))
 
     def load_into(self, key: str, out: np.ndarray) -> np.ndarray:
@@ -837,12 +772,10 @@ class StripedStore(BlobStore):
             skey = self.stripe_key(key, ext.index, manifest.epoch)
             if backend.contains(skey):
                 backend.delete(skey)
-        if self.crash_safe:
-            # Orphan stripes of the *other* (uncommitted) epoch, left by a
-            # crashed flush that never committed: sweep them too (key scan —
-            # a crashed async fan-out can leave non-contiguous indices).
-            other = 1 if manifest.epoch == 0 else 0
-            self._sweep_stripe_orphans(key, other, set())
+        # Orphan stripes of the *other* (uncommitted) epoch, left by a
+        # crashed flush that never committed: sweep them too (key scan — a
+        # crashed async fan-out can leave non-contiguous indices).
+        self._sweep_stripe_orphans(key, 1 if manifest.epoch == 0 else 0, set())
         mkey = self.manifest_key(key)
         if self.primary.contains(mkey):
             self.primary.delete(mkey)

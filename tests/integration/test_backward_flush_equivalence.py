@@ -13,7 +13,7 @@ and the writes must land in accumulation order).
 import numpy as np
 import pytest
 
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
@@ -34,7 +34,7 @@ def make_engine(root, *, pipelined, striped=True):
         host_cache_bytes=2 * SUBGROUP * 12,
         enable_delayed_grad_conversion=False,  # the policy that flushes grads
         pipeline_backward_flush=pipelined,
-        stripe_threshold_bytes=float(SUBGROUP * 2) if striped else float(1 << 30),
+        stripe=StripeConfig(threshold_bytes=float(SUBGROUP * 2) if striped else float(1 << 30)),
         adam=AdamConfig(lr=1e-3),
     )
     layout = build_shard_layout(TOTAL_PARAMS, num_ranks=1, subgroup_size=SUBGROUP)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.ckpt import CheckpointError, CheckpointReader
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
@@ -32,7 +32,7 @@ def make_config(base, **overrides) -> MLPOffloadConfig:
     defaults = dict(
         subgroup_size=SUBGROUP,
         host_cache_bytes=2 * SUBGROUP * 12,  # two subgroups of dirty residue
-        stripe_threshold_bytes=float(SUBGROUP * 2),  # exercise striped blobs
+        stripe=StripeConfig(threshold_bytes=float(SUBGROUP * 2)),  # exercise striped blobs
         checkpoint_dir=str(base / "ckpt"),
         adam=AdamConfig(lr=1e-3),
     )
@@ -422,7 +422,7 @@ def test_streaming_restore_follows_blob_tier_over_recorded_placement(tmp_path, w
     base = tmp_path / "crashed"
     base.mkdir()
     # Large stripe threshold: every field is a whole blob (single segment).
-    config = make_config(base, stripe_threshold_bytes=1e9)
+    config = make_config(base, stripe=StripeConfig(threshold_bytes=1e9))
     with MLPOffloadEngine(config, layout, rank=0) as engine:
         engine.initialize(initial.copy())
         fp16 = initial.astype(np.float16)
@@ -445,7 +445,7 @@ def test_streaming_restore_follows_blob_tier_over_recorded_placement(tmp_path, w
     store.commit(replace(manifest, placement=flipped))
 
     resumed = MLPOffloadEngine(
-        make_config(base, stripe_threshold_bytes=1e9), layout, rank=0
+        make_config(base, stripe=StripeConfig(threshold_bytes=1e9)), layout, rank=0
     )
     restored = resumed.restore_checkpoint()
     assert restored.linked_subgroups > 0
@@ -532,7 +532,7 @@ def test_trainer_resume_matches_uninterrupted_run(tmp_path, tiny_model):
     def build(base, checkpoint_dir):
         config = make_config(
             base, subgroup_size=2_000, host_cache_bytes=2 * 2_000 * 12,
-            stripe_threshold_bytes=4_000.0, checkpoint_dir=checkpoint_dir,
+            stripe=StripeConfig(threshold_bytes=4_000.0), checkpoint_dir=checkpoint_dir,
         )
         from repro.train.transformer import TransformerLM
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro.aio.locks import TierLockManager
 from repro.ckpt import CheckpointCoordinator
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
@@ -38,7 +38,7 @@ def make_config(base, **overrides) -> MLPOffloadConfig:
     defaults = dict(
         subgroup_size=SUBGROUP,
         host_cache_bytes=2 * SUBGROUP * 12,
-        stripe_threshold_bytes=float(SUBGROUP * 2),
+        stripe=StripeConfig(threshold_bytes=float(SUBGROUP * 2)),
         checkpoint_dir=str(base / "ckpt"),
         checkpoint_coordination=True,
         adam=AdamConfig(lr=1e-3),

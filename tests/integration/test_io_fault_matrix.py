@@ -19,7 +19,7 @@ The contract under test (ISSUE 9): with the fault-tolerance machinery on,
 import numpy as np
 import pytest
 
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
 from repro.tiers.striped_store import DegradedReadError
@@ -59,11 +59,9 @@ def _make_config(root, **overrides):
         subgroup_size=SUBGROUP,
         host_cache_bytes=0.0,
         adam=AdamConfig(lr=1e-2),
-        enable_striped_reads=True,
-        stripe_threshold_bytes=float(FIELD_BYTES // 2),
+        stripe=StripeConfig(enabled=True, threshold_bytes=float(FIELD_BYTES // 2)),
         adaptive_bandwidth=False,
-        io_retry_attempts=3,
-        io_retry_backoff_seconds=0.001,
+        io=IOBackendConfig(retry_attempts=3, retry_backoff_seconds=0.001),
         path_quarantine_failures=2,
         path_probe_interval=2,
     )
@@ -175,7 +173,7 @@ class TestDeadPathFailover:
         # first one quarantines pfs, the rest are burnt by in-flight writes
         # and failed probes, then a probe succeeds and re-admits the path.
         plan = FaultPlan([FaultRule(kind="dead", op="write", tier="pfs", after=6, count=4)])
-        config = _make_config(tmp_path / "heal", io_retry_attempts=1)
+        config = _make_config(tmp_path / "heal", io=IOBackendConfig(retry_attempts=1))
         views = flat_views(None, layout, 0)
         arm_faults(plan)
         try:

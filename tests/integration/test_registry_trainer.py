@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckpt import CheckpointReader
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.registry import RegistryServerThread
 from repro.train.adam import AdamConfig
@@ -32,7 +32,7 @@ def make_config(base, url, *, tenant="default", **overrides) -> MLPOffloadConfig
     defaults = dict(
         subgroup_size=SUBGROUP,
         host_cache_bytes=2 * SUBGROUP * 12,
-        stripe_threshold_bytes=float(SUBGROUP * 2),  # striped blobs travel too
+        stripe=StripeConfig(threshold_bytes=float(SUBGROUP * 2)),  # striped blobs travel too
         checkpoint_dir=str(base / "ckpt"),
         checkpoint_registry_url=url,
         checkpoint_registry_tenant=tenant,
@@ -141,7 +141,7 @@ def test_second_job_uploads_under_ten_percent(tmp_path, tiny_model):
             trainer, engine = build_trainer(
                 tiny_model,
                 make_config(
-                    tmp_path / job, srv.url, tenant=tenant, stripe_threshold_bytes=1e9
+                    tmp_path / job, srv.url, tenant=tenant, stripe=StripeConfig(threshold_bytes=1e9)
                 ),
             )
             try:

@@ -4,7 +4,7 @@ Striping is a pure layout/scheduling change: with it on, every subgroup's
 fields are split across NVMe and PFS and fetched from both paths at once,
 but the Adam updates, FP16 working parameters and FP32 master state must be
 exactly the ones the single-path engine produces.  The degenerate
-single-path configuration (``stripe_paths=1``) must not merely match
+single-path configuration (``stripe.paths=1``) must not merely match
 numerically — it must leave the tier directories byte-for-byte identical to
 a run with striping disabled.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.aio.locks import TierLockManager
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
@@ -37,6 +37,10 @@ def training_inputs(rng):
     return initial, grads
 
 
+def _stripe(**fields):
+    return StripeConfig(threshold_bytes=float(FIELD_BYTES // 2), **fields)
+
+
 def _make_config(root, **overrides):
     local = root / "nvme"
     remote = root / "pfs"
@@ -46,7 +50,7 @@ def _make_config(root, **overrides):
         subgroup_size=SUBGROUP,
         host_cache_bytes=0.0,
         adam=AdamConfig(lr=1e-2),
-        stripe_threshold_bytes=float(FIELD_BYTES // 2),
+        stripe=_stripe(),
     )
     defaults.update(overrides)
     return MLPOffloadConfig(
@@ -84,7 +88,7 @@ class TestStripedBitwiseEquivalence:
         off = _drive(
             _make_config(
                 tmp_path / "off",
-                enable_striped_reads=False,
+                stripe=_stripe(enabled=False),
                 pipeline_update_phase=pipelined,
                 enable_delayed_grad_conversion=delayed_grads,
             ),
@@ -95,7 +99,7 @@ class TestStripedBitwiseEquivalence:
         on = _drive(
             _make_config(
                 tmp_path / "on",
-                enable_striped_reads=True,
+                stripe=_stripe(enabled=True),
                 pipeline_update_phase=pipelined,
                 enable_delayed_grad_conversion=delayed_grads,
             ),
@@ -113,7 +117,7 @@ class TestStripedBitwiseEquivalence:
         # Freeze the estimator at the configured hints so the expected
         # bandwidth-proportional split is deterministic on any test machine.
         _, _, _, io = _drive(
-            _make_config(tmp_path / "on", enable_striped_reads=True, adaptive_bandwidth=False),
+            _make_config(tmp_path / "on", stripe=_stripe(enabled=True), adaptive_bandwidth=False),
             layout,
             initial,
             grads,
@@ -128,7 +132,7 @@ class TestStripedBitwiseEquivalence:
         initial, grads = training_inputs
         views = flat_views(None, layout, 0)
         config = _make_config(
-            tmp_path / "dist", enable_striped_reads=True, adaptive_bandwidth=False
+            tmp_path / "dist", stripe=_stripe(enabled=True), adaptive_bandwidth=False
         )
         with MLPOffloadEngine(config, layout, rank=0) as engine:
             engine.initialize(initial.copy())
@@ -151,7 +155,7 @@ class TestStripedBitwiseEquivalence:
         layout = build_shard_layout(TOTAL_PARAMS, num_ranks=2, subgroup_size=SUBGROUP)
         config = _make_config(
             tmp_path / "mw",
-            enable_striped_reads=True,
+            stripe=_stripe(enabled=True),
             pipeline_update_phase=False,
             enable_delayed_grad_conversion=False,  # exercise the backward flush too
         )
@@ -196,16 +200,16 @@ class TestStripedBitwiseEquivalence:
     def test_single_path_degenerate_config_is_byte_identical(
         self, tmp_path, layout, training_inputs
     ):
-        """``stripe_paths=1`` must leave the exact files striping-off leaves."""
+        """``stripe.paths=1`` must leave the exact files striping-off leaves."""
         initial, grads = training_inputs
         _drive(
-            _make_config(tmp_path / "off", enable_striped_reads=False),
+            _make_config(tmp_path / "off", stripe=_stripe(enabled=False)),
             layout,
             initial,
             grads,
         )
         _drive(
-            _make_config(tmp_path / "deg", enable_striped_reads=True, stripe_paths=1),
+            _make_config(tmp_path / "deg", stripe=_stripe(enabled=True, paths=1)),
             layout,
             initial,
             grads,

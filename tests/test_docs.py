@@ -142,7 +142,7 @@ def test_readme_documents_io_backends():
     for anchor in (
         "repro.aio.backends",
         "O_DIRECT",
-        "io_uring",
+        "auto → odirect → thread",
         "REPRO_IO_BACKEND",
         "BlobStore",
         "BENCH_io_backend.json",
@@ -157,7 +157,6 @@ def test_architecture_guide_documents_io_backends():
     for anchor in (
         "repro.aio.backends",
         "O_DIRECT",
-        "io_uring",
         "AUTO_ORDER",
         "REPRO_IO_BACKEND",
         "IOBackendConfig",

@@ -1,8 +1,8 @@
 """Shared conformance suite for every :class:`~repro.tiers.spec.BlobStore`.
 
-Each store implementation — plain, mmap-served, striped, fault-injecting
-proxy, and the checkpoint blob store factory — must present the same formal
-surface with the same semantics.  The suite is parametrized over factories
+Each store implementation — plain, striped, fault-injecting proxy, and the
+checkpoint blob store factory — must present the same formal surface with
+the same semantics.  The suite is parametrized over factories
 so a new store implementation buys its contract coverage by adding one
 line.  ``FaultInjectingStore`` deliberately does *not* subclass the
 protocol (its ``__getattr__`` delegation would be shadowed by inherited
@@ -19,17 +19,12 @@ from repro.ckpt.store import build_blob_stores
 from repro.core.config import MLPOffloadConfig
 from repro.tiers.faultstore import FaultInjectingStore, FaultPlan
 from repro.tiers.file_store import FileStore, StoreError
-from repro.tiers.mmap_store import MmapFileStore
 from repro.tiers.spec import BlobStore
 from repro.tiers.striped_store import StripedStore
 
 
 def _file_store(root):
     return FileStore(root / "file", name="file")
-
-
-def _mmap_store(root):
-    return MmapFileStore(root / "mmap", name="mmap")
 
 
 def _striped_store(root):
@@ -53,7 +48,6 @@ def _ckpt_store(root):
 
 FACTORIES = {
     "file": _file_store,
-    "mmap": _mmap_store,
     "striped": _striped_store,
     "fault-proxy": _fault_store,
     "ckpt-cas": _ckpt_store,

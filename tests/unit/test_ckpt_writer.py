@@ -61,7 +61,7 @@ def test_adopt_missing_source_raises(tmp_path):
 def ckpt_env(tmp_path):
     """A small VirtualTier + CheckpointWriter over two real tier dirs."""
     from repro.ckpt.writer import CheckpointWriter
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.virtual_tier import VirtualTier
     from repro.tiers.array_pool import ArrayPool
 
@@ -74,7 +74,7 @@ def ckpt_env(tmp_path):
         ),
         subgroup_size=100,
         checkpoint_dir=str(tmp_path / "ckpt"),
-        stripe_threshold_bytes=256.0,
+        stripe=StripeConfig(threshold_bytes=256.0),
     )
     tier = VirtualTier(config, worker="rank0")
     tier.build_placement([0, 1])
@@ -160,7 +160,7 @@ def test_staged_striping_honours_stripe_paths_below_tier_count(tmp_path, rng):
     weights consistently (regression: the drain crashed with a
     weights/num_paths mismatch when a third tier was configured)."""
     from repro.ckpt.writer import CheckpointWriter
-    from repro.core.config import MLPOffloadConfig, TierConfig
+    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.virtual_tier import VirtualTier
     from repro.tiers.array_pool import ArrayPool
 
@@ -173,8 +173,7 @@ def test_staged_striping_honours_stripe_paths_below_tier_count(tmp_path, rng):
         ),
         subgroup_size=100,
         checkpoint_dir=str(tmp_path / "ckpt"),
-        stripe_threshold_bytes=64.0,
-        stripe_paths=2,
+        stripe=StripeConfig(threshold_bytes=64.0, paths=2),
     )
     tier = VirtualTier(config, worker="rank0")
     tier.build_placement([0])

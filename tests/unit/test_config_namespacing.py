@@ -1,16 +1,12 @@
-"""The ``io``/``stripe`` config namespacing and its flat-kwarg shim.
+"""The ``io``/``stripe`` config namespacing: one spelling per option.
 
-The flat knobs of earlier releases (``mmap_tier_reads``, ``io_retry_*``,
-``enable_striped_reads``, ``stripe_*``, ``crash_safe_striped_flush``) moved
-into :class:`~repro.core.config.IOBackendConfig` and
-:class:`~repro.core.config.StripeConfig`.  Constructing with the old names
-must keep working — warning once per name — and both the nested and the
-legacy-flat JSON shapes must parse.
+I/O-mechanism knobs live on :class:`~repro.core.config.IOBackendConfig`,
+striping knobs on :class:`~repro.core.config.StripeConfig`; the flat kwargs
+of earlier releases are gone and must fail like any unknown argument.
 """
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -28,6 +24,8 @@ class TestSubConfigs:
         assert config.stripe == StripeConfig()
         assert config.io.backend == "auto"
         assert config.io.alignment_bytes == 4096
+        assert len(dataclasses.fields(IOBackendConfig)) == 5
+        assert len(dataclasses.fields(StripeConfig)) == 3
 
     def test_backend_name_validated(self):
         with pytest.raises(ValueError, match="unknown io backend"):
@@ -43,62 +41,42 @@ class TestSubConfigs:
         with pytest.raises(ValueError, match="threshold_bytes"):
             StripeConfig(threshold_bytes=-1)
 
-
-class TestFlatKwargShim:
-    def test_flat_kwargs_construct_and_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = _cfg(mmap_tier_reads=True, stripe_paths=2, io_retry_attempts=5)
-        assert config.io.mmap_tier_reads is True
-        assert config.stripe.paths == 2
-        assert config.io.retry_attempts == 5
-        flat_warnings = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert all("deprecated" in str(w.message) for w in flat_warnings)
-
-    def test_warning_fires_at_most_once_per_name(self):
-        _cfg(io_deadline_seconds=1.0)  # ensure the first use is consumed
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _cfg(io_deadline_seconds=2.0)
-            _cfg(io_deadline_seconds=3.0)
-        assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 0
-
-    def test_flat_kwargs_merge_into_explicit_sub_config(self):
-        config = _cfg(io=IOBackendConfig(alignment_bytes=512), mmap_tier_reads=True)
-        assert config.io.alignment_bytes == 512
-        assert config.io.mmap_tier_reads is True
-
-    def test_dataclasses_replace_accepts_flat_names(self):
-        config = _cfg()
-        replaced = dataclasses.replace(config, stripe_threshold_bytes=123.0)
-        assert replaced.stripe.threshold_bytes == 123.0
-        assert replaced.io == config.io
-
-    def test_flat_read_properties(self):
-        config = _cfg(
-            io=IOBackendConfig(mmap_tier_reads=True, retry_attempts=7, deadline_seconds=2.5),
-            stripe=StripeConfig(enabled=False, threshold_bytes=64.0, paths=3),
-        )
-        assert config.mmap_tier_reads is True
-        assert config.io_retry_attempts == 7
-        assert config.io_deadline_seconds == 2.5
-        assert config.enable_striped_reads is False
-        assert config.stripe_threshold_bytes == 64.0
-        assert config.stripe_paths == 3
-        assert config.crash_safe_striped_flush is True
-
     def test_stripe_fanout_follows_nested_fields(self):
         config = MLPOffloadConfig.local_and_remote(
             "/tmp/a", "/tmp/b", stripe=StripeConfig(paths=1)
         )
         assert config.stripe_fanout() == 1
 
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            "mmap_tier_reads",
+            "io_retry_attempts",
+            "io_retry_backoff_seconds",
+            "io_deadline_seconds",
+            "enable_striped_reads",
+            "stripe_threshold_bytes",
+            "stripe_paths",
+            "crash_safe_striped_flush",
+        ],
+    )
+    def test_flat_kwargs_are_rejected(self, flat):
+        with pytest.raises(TypeError, match=flat):
+            _cfg(**{flat: 1})
+        assert not hasattr(_cfg(), flat)
+
 
 class TestSerialization:
     def test_round_trip_preserves_sub_configs(self):
         config = _cfg(
-            io=IOBackendConfig(backend="thread", alignment_bytes=512, retry_attempts=4),
-            stripe=StripeConfig(threshold_bytes=2048.0, paths=2, crash_safe_flush=False),
+            io=IOBackendConfig(
+                backend="thread",
+                alignment_bytes=512,
+                retry_attempts=4,
+                retry_backoff_seconds=0.25,
+                deadline_seconds=1.5,
+            ),
+            stripe=StripeConfig(enabled=False, threshold_bytes=2048.0, paths=2),
         )
         assert MLPOffloadConfig.from_json(config.to_json()) == config
 
@@ -107,33 +85,3 @@ class TestSerialization:
         assert "io" in block and "stripe" in block
         for flat in ("mmap_tier_reads", "stripe_paths", "io_retry_attempts"):
             assert flat not in block
-
-    def test_legacy_flat_json_still_parses(self):
-        block = json.loads(_cfg().to_json())["mlp_offload"]
-        del block["io"], block["stripe"]
-        block.update(
-            mmap_tier_reads=True,
-            striped_reads=False,
-            stripe_threshold_bytes="2MiB",
-            stripe_paths=3,
-            crash_safe_striped_flush=False,
-            io_retry_attempts=9,
-            io_retry_backoff_seconds=0.5,
-            io_deadline_seconds=4.0,
-        )
-        config = MLPOffloadConfig.from_json(json.dumps({"mlp_offload": block}))
-        assert config.io.mmap_tier_reads is True
-        assert config.stripe.enabled is False
-        assert config.stripe.threshold_bytes == float(2 << 20)
-        assert config.stripe.paths == 3
-        assert config.stripe.crash_safe_flush is False
-        assert config.io.retry_attempts == 9
-        assert config.io.retry_backoff_seconds == 0.5
-        assert config.io.deadline_seconds == 4.0
-
-    def test_nested_json_wins_over_stray_flat_keys(self):
-        block = json.loads(_cfg().to_json())["mlp_offload"]
-        block["io"]["retry_attempts"] = 2
-        block["io_retry_attempts"] = 99
-        config = MLPOffloadConfig.from_json(json.dumps({"mlp_offload": block}))
-        assert config.io.retry_attempts == 2

@@ -235,7 +235,7 @@ class TestArming:
 
     def test_virtual_tier_smoke_under_env_arming(self, tmp_path, monkeypatch):
         """A VirtualTier built under REPRO_IO_FAULT routes through injection."""
-        from repro.core.config import MLPOffloadConfig, TierConfig
+        from repro.core.config import IOBackendConfig, MLPOffloadConfig, TierConfig
         from repro.core.virtual_tier import VirtualTier
 
         monkeypatch.setenv(FAULT_ENV, "eio,op=read,count=1,key=sg0.params")
@@ -244,7 +244,7 @@ class TestArming:
             tiers=(TierConfig("t0", str(tmp_path / "t0"), read_bw=1e9, write_bw=1e9),),
             subgroup_size=8,
             enable_multipath=False,
-            io_retry_attempts=1,  # surface the injected fault, do not absorb it
+            io=IOBackendConfig(retry_attempts=1),  # surface the injected fault, do not absorb it
         )
         with VirtualTier(config) as tier:
             tier.build_placement([0])

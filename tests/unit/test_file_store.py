@@ -1,5 +1,7 @@
 """Unit tests for the file-backed tier store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ class TestRoundTrip:
         reopened = FileStore(tmp_path / "tier")
         assert reopened.used_bytes > 0
         np.testing.assert_array_equal(reopened.read("persisted"), np.ones(8, dtype=np.float32))
+
+    def test_listed_entry_that_vanished_is_skipped(self, tmp_path, monkeypatch):
+        """A peer rank sharing the directory may retire a blob between the
+        listing and the stat (or unlink); the entry is simply not there."""
+        root = tmp_path / "tier"
+        FileStore(root).write("live", np.ones(8, dtype=np.float32))
+        real_glob = Path.glob
+
+        def listing_with_ghost(self, pattern):
+            yield from real_glob(self, pattern)
+            if pattern == "*.bin":
+                yield self / "rank1-sg00003.exp_avg_sq.stripe0.bin"
+
+        monkeypatch.setattr(Path, "glob", listing_with_ghost)
+        store = FileStore(root)
+        assert store.used_bytes == store.size_of("live")
+        store.clear()
+        assert store.used_bytes == 0 and not store.contains("live")
 
 
 class TestFailureModes:

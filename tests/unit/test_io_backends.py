@@ -2,9 +2,7 @@
 
 Covers the registry/fallback machinery (always), and the O_DIRECT backend
 end to end where the filesystem supports it (skipped otherwise — CI's
-``io-backend-smoke`` job runs on ext4, where it does).  The io_uring backend
-degrades to odirect/thread wherever liburing-ffi is absent, which is itself
-asserted here: the fallback chain is the availability contract.
+``io-backend-smoke`` job runs on ext4, where it does).
 """
 
 import hashlib
@@ -16,7 +14,6 @@ from repro.aio import backends
 from repro.aio.engine import AsyncIOEngine
 from repro.tiers.faultstore import FaultInjectingStore, FaultPlan
 from repro.tiers.file_store import FileStore, TruncatedBlobError
-from repro.tiers.mmap_store import MmapFileStore
 
 
 @pytest.fixture(autouse=True)
@@ -38,8 +35,9 @@ def _odirect_or_skip(directory) -> backends.ODirectBackend:
 
 class TestRegistry:
     def test_registry_names(self):
-        assert backends.backend_names() == ("io_uring", "odirect", "thread")
-        assert backends.backend_choices() == ("auto", "io_uring", "odirect", "thread")
+        assert backends.backend_names() == ("odirect", "thread")
+        assert backends.backend_choices() == ("auto", "odirect", "thread")
+        assert backends.AUTO_ORDER == ("odirect", "thread")
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown io backend"):
@@ -50,11 +48,6 @@ class TestRegistry:
 
     def test_auto_resolves_to_something(self, tmp_path):
         assert backends.resolve("auto", tmp_path).name in backends.backend_names()
-
-    def test_io_uring_degrades_along_the_chain(self, tmp_path):
-        # Wherever liburing-ffi is missing (this container) the request may
-        # not fail — it must land on odirect or thread.
-        assert backends.resolve("io_uring", tmp_path).name in ("io_uring", "odirect", "thread")
 
     def test_env_var_overrides_by_name_selection(self, tmp_path, monkeypatch):
         monkeypatch.setenv(backends.BACKEND_ENV_VAR, "thread")
@@ -135,15 +128,6 @@ class TestODirectRoundTrip:
             handle.truncate(path.stat().st_size // 2)
         with pytest.raises(TruncatedBlobError):
             store.load_into("k", np.empty_like(data))
-
-    def test_mmap_store_writes_through_odirect(self, tmp_path, rng):
-        _odirect_or_skip(tmp_path)
-        store = MmapFileStore(tmp_path / "t", backend="odirect")
-        data = rng.standard_normal(5_003).astype(np.float32)
-        store.save_from("k", data)
-        out = np.empty_like(data)
-        store.load_into("k", out)
-        np.testing.assert_array_equal(out, data)
 
 
 class TestStoreSurface:

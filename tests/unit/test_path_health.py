@@ -5,7 +5,7 @@ import errno
 import numpy as np
 import pytest
 
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.virtual_tier import PathHealth, VirtualTier
 from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
 from repro.tiers.file_store import StoreError
@@ -127,10 +127,9 @@ def _two_path_config(tmp_path, **overrides):
     defaults = dict(
         subgroup_size=256,
         adam=AdamConfig(lr=1e-3),
-        enable_striped_reads=True,
-        stripe_threshold_bytes=512.0,
+        stripe=StripeConfig(enabled=True, threshold_bytes=512.0),
         adaptive_bandwidth=False,
-        io_retry_attempts=1,
+        io=IOBackendConfig(retry_attempts=1),
         path_quarantine_failures=2,
         path_probe_interval=2,
     )
@@ -153,7 +152,7 @@ class TestVirtualTierHealthIntegration:
 
     def test_engine_failures_feed_the_observer(self, tmp_path):
         arm_faults(FaultPlan([FaultRule(kind="dead", op="write", tier="pfs", count=0)]))
-        config = _two_path_config(tmp_path, enable_striped_reads=False)
+        config = _two_path_config(tmp_path, stripe=StripeConfig(enabled=False))
         with VirtualTier(config) as tier:
             assert tier.health is not None
             assert tier.engine.observer is tier.health
@@ -192,7 +191,7 @@ class TestVirtualTierHealthIntegration:
         # fails over and quarantines pfs immediately — subsequent flushes
         # re-route, consuming no pfs faults); write 1 is the first probe.
         arm_faults(FaultPlan([FaultRule(kind="dead", op="write", tier="pfs", count=2)]))
-        config = _two_path_config(tmp_path, enable_striped_reads=False)
+        config = _two_path_config(tmp_path, stripe=StripeConfig(enabled=False))
         with VirtualTier(config) as tier:
             tier.build_placement([0])
             payload = np.arange(4, dtype=np.float32)

@@ -1,7 +1,7 @@
 """Crash-safe striped flush: epoch keys, commit-after-barrier, recovery.
 
-The contract: with ``crash_safe`` on, a striped key always reads as either
-the complete previous value or the complete new value — a crash anywhere
+The contract: a striped key always reads as either the complete previous
+value or the complete new value — a crash anywhere
 between the first stripe write and the manifest commit must leave the old
 generation fully readable, and later commits sweep the orphans the crash
 left behind.  Also covers the chunked streaming reads
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.tiers.file_store import FileStore, StoreError, payload_digest
-from repro.tiers.mmap_store import MmapFileStore
 from repro.tiers.striped_store import StripedStore
 
 
@@ -33,7 +32,7 @@ def backends(tmp_path):
 
 @pytest.fixture
 def striped(backends):
-    return StripedStore(backends, threshold_bytes=256, crash_safe=True)
+    return StripedStore(backends, threshold_bytes=256)
 
 
 def reopen(backends, **kwargs):
@@ -41,7 +40,6 @@ def reopen(backends, **kwargs):
     return StripedStore(
         [FileStore(b.root, name=b.name) for b in backends],
         threshold_bytes=256,
-        crash_safe=True,
         **kwargs,
     )
 
@@ -66,10 +64,21 @@ class TestCrashSafeCommit:
         striped.save_from("k", first)
         assert striped.epoch_of("k") == 0
 
-    def test_plan_without_commit_is_invisible(self, striped, backends, rng):
-        committed = rng.standard_normal(1000).astype(np.float32)
-        doomed = rng.standard_normal(1000).astype(np.float32)
+    @pytest.mark.parametrize(
+        "store_kwargs, elements",
+        [
+            ({"threshold_bytes": 256}, 1000),
+            # A default-constructed store (1 MiB threshold): commit-after-
+            # barrier is the only protocol, not something to opt into.
+            ({}, 300_000),
+        ],
+    )
+    def test_plan_without_commit_is_invisible(self, backends, rng, store_kwargs, elements):
+        striped = StripedStore(backends, **store_kwargs)
+        committed = rng.standard_normal(elements).astype(np.float32)
+        doomed = rng.standard_normal(elements).astype(np.float32)
         striped.save_from("k", committed)
+        assert striped.is_striped("k")
         # Crash scenario: the next flush wrote some (here: all) of its stripe
         # blobs but died before the commit.
         parts = striped.plan_save("k", doomed)
@@ -78,7 +87,9 @@ class TestCrashSafeCommit:
         # This process: reads still serve the committed generation.
         np.testing.assert_array_equal(striped.read("k"), committed)
         # A restarted process: same thing (the manifest is the commit point).
-        survivor = reopen(backends)
+        survivor = StripedStore(
+            [FileStore(b.root, name=b.name) for b in backends], **store_kwargs
+        )
         np.testing.assert_array_equal(survivor.read("k"), committed)
 
     def test_next_commit_sweeps_crash_orphans(self, striped, backends, rng):
@@ -162,11 +173,21 @@ class TestCrashSafeCommit:
         with pytest.raises(StoreError, match="pending"):
             striped.commit_save("nope")
 
+    def test_version_1_manifest_is_rejected(self, striped, backends, rng):
+        striped.save_from("k", rng.standard_normal(1000).astype(np.float32))
+        mkey = striped.manifest_key("k")
+        v2 = backends[0].read(mkey)
+        # magic, version, dtype code, [epoch,] ndim, shape..., nstripes, extents...
+        v1 = np.concatenate([v2[:1], [1], v2[2:3], v2[4:]]).astype(np.int64)
+        backends[0].save_from(mkey, v1)
+        with pytest.raises(StoreError, match="unsupported version 1"):
+            reopen(backends).read("k")
+
 
 class TestVirtualTierCrashSafeFlush:
     @pytest.fixture
     def tier(self, tmp_path):
-        from repro.core.config import MLPOffloadConfig, TierConfig
+        from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
         from repro.core.virtual_tier import VirtualTier
 
         (tmp_path / "a").mkdir()
@@ -177,8 +198,7 @@ class TestVirtualTierCrashSafeFlush:
                 TierConfig("b", str(tmp_path / "b"), read_bw=1.0, write_bw=1.0),
             ),
             subgroup_size=1000,
-            stripe_threshold_bytes=256.0,
-            crash_safe_striped_flush=True,
+            stripe=StripeConfig(threshold_bytes=256.0),
         )
         tier = VirtualTier(config, worker="w0")
         tier.build_placement([0])
@@ -302,9 +322,8 @@ class TestAdoptStriped:
 
 
 class TestLoadIntoChunks:
-    @pytest.mark.parametrize("store_cls", [FileStore, MmapFileStore])
-    def test_streams_digest_while_reading(self, store_cls, tmp_path, rng):
-        store = store_cls(tmp_path / "t", name="t")
+    def test_streams_digest_while_reading(self, tmp_path, rng):
+        store = FileStore(tmp_path / "t", name="t")
         data = rng.standard_normal(10_000).astype(np.float32)
         store.save_from("k", data)
         out = np.empty_like(data)
@@ -317,9 +336,8 @@ class TestLoadIntoChunks:
         # Byte accounting identical to load_into: the full blob is charged.
         assert store.stats().bytes_read == store.size_of("k")
 
-    @pytest.mark.parametrize("store_cls", [FileStore, MmapFileStore])
-    def test_validates_like_load_into(self, store_cls, tmp_path, rng):
-        store = store_cls(tmp_path / "t", name="t")
+    def test_validates_like_load_into(self, tmp_path, rng):
+        store = FileStore(tmp_path / "t", name="t")
         store.save_from("k", rng.standard_normal(100).astype(np.float32))
         with pytest.raises(StoreError, match="dtype"):
             store.load_into_chunks("k", np.empty(100, np.float64))
