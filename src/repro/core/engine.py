@@ -18,11 +18,12 @@ The update phase runs in one of two modes, selected by
 * **pipelined** (default) — a double-buffered lookahead window: asynchronous
   prefetches for the next :attr:`~repro.core.config.MLPOffloadConfig.prefetch_depth`
   subgroups are in flight while Adam runs on the current one, and post-update
-  flushes are issued asynchronously and drained at phase end.  Tier I/O thus
-  overlaps the CPU compute (the paper's multi-level pipelining), while the
-  tier-exclusive lock manager keeps multi-path semantics intact — async
-  requests acquire the tier lease on the I/O threads, re-entrantly per
-  worker.
+  flushes — dirty host-cache evictions included — are issued asynchronously
+  and drained at phase end (a subgroup is never read while its own write is
+  in flight).  Tier I/O thus overlaps the CPU compute (the paper's
+  multi-level pipelining), while the tier-exclusive lock manager keeps
+  multi-path semantics intact — async requests acquire the tier lease on the
+  I/O threads, re-entrantly per worker.
 * **sequential** — the single-buffered Algorithm-1 loop (one subgroup
   prefetched ahead, every flush synchronous), kept as the ablation baseline;
   this matches the engine's behaviour before pipelining was introduced.
@@ -49,9 +50,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import concurrent.futures
+import functools
 
 import numpy as np
 
@@ -83,9 +85,9 @@ _LOG = get_logger("core.engine")
 #: A prefetch in flight: per-field completion futures plus the pooled
 #: destination arrays the reads deserialize into.
 _PendingFetch = Tuple[Dict[str, "concurrent.futures.Future"], Dict[str, np.ndarray]]
-#: A lazy flush in flight: the write futures plus the pooled arrays to
-#: recycle once they complete.
-_PendingFlush = Tuple[int, List["concurrent.futures.Future"], List[np.ndarray]]
+#: A lazy flush in flight: the subgroup, its write futures, and the callback
+#: that hands the written arrays back (to the pool, or the cache's ``on_evict``).
+_PendingFlush = Tuple[int, List["concurrent.futures.Future"], Callable[[], object]]
 
 
 @dataclass
@@ -135,7 +137,12 @@ class OffloadEngineBase:
             # subgroup's writes, each multiplied by the stripe fan-out when
             # striped reads are on), so filling the window never blocks on
             # queue back-pressure — including when the adaptive policy grows
-            # the window up to ``max_prefetch_depth``.
+            # the window up to ``max_prefetch_depth``.  Lazy flushes beyond
+            # that are bounded by this back-pressure (written-behind evictions
+            # also go one at a time).  An eviction's submit may block inside
+            # ``cache.put`` (cache lock held, no tier lease) without deadlock:
+            # the I/O threads draining the queue never take the cache lock —
+            # its ``on_evict`` runs on the rank thread once the write is reaped.
             queue_depth=max(
                 16, 4 * (config.effective_prefetch_ceiling() + 2) * config.stripe_fanout()
             ),
@@ -184,6 +191,8 @@ class OffloadEngineBase:
         #: Async backward-phase gradient flushes in flight, by subgroup:
         #: the write futures plus the pooled FP32 payload to recycle.
         self._grad_flushes: Dict[int, Tuple[List["concurrent.futures.Future"], np.ndarray]] = {}
+        #: The pipelined phase's lazy-flush list (evictions join it), else None.
+        self._write_behind: Optional[List[_PendingFlush]] = None
         #: Stats of the previous update phase (adaptive prefetch-depth input).
         self._last_stats: Optional[UpdatePhaseStats] = None
         #: Global-commit coordinator (two-phase multi-rank checkpoint
@@ -402,6 +411,7 @@ class OffloadEngineBase:
 
         pending: Dict[int, _PendingFetch] = {}
         inflight_flushes: List[_PendingFlush] = []
+        self._write_behind = inflight_flushes if pipelined else None
         try:
             self._run_update_loop(
                 order, fetch_fields, slide, initial, pending, inflight_flushes,
@@ -412,6 +422,8 @@ class OffloadEngineBase:
             # must still restore pool/tier quiescence before propagating.
             self._quiesce_io(pending, inflight_flushes)
             raise
+        finally:
+            self._write_behind = None
 
         # Account I/O performed through cache write-backs (evictions) and
         # asynchronous flushes that the per-subgroup timers above did not see.
@@ -508,8 +520,9 @@ class OffloadEngineBase:
                 self.pool.release(stored)
 
             # Lazy flush: keep the updated subgroup in the host cache and let
-            # eviction write it back; if the cache cannot hold it, flush —
-            # asynchronously in pipelined mode, synchronously otherwise.
+            # eviction write it back; if the cache cannot hold it, flush.
+            # Pipelined, both kinds of write go on ``inflight_flushes``;
+            # sequential, both are synchronous.
             updated = {
                 "params": state.params,
                 "exp_avg": state.exp_avg,
@@ -517,10 +530,8 @@ class OffloadEngineBase:
             }
             if not self.cache.put(subgroup_index, updated, dirty=True):
                 if pipelined:
-                    futures = self.tier.flush_subgroup(
-                        sg.key, sg.index, updated, tier=self._flush_target(sg, updated), wait=False
-                    )
-                    inflight_flushes.append((sg.index, list(futures), list(updated.values())))
+                    release = functools.partial(self.pool.release_all, list(updated.values()))
+                    inflight_flushes.append(self._flush_behind(sg, updated, release))
                 else:
                     flush_start = time.perf_counter()
                     self._flush_now(sg, updated)
@@ -533,13 +544,13 @@ class OffloadEngineBase:
             stats.subgroups_processed += 1
             stats.params_updated += sg.num_params
             if inflight_flushes:
-                self._reap_flushes(inflight_flushes, stats, block=False)
+                self._reap_flushes(inflight_flushes, block=False)
 
         # Correctness barrier: every lazy flush must land before the phase
         # (and therefore the iteration) completes.
         if inflight_flushes:
             flush_start = time.perf_counter()
-            self._reap_flushes(inflight_flushes, stats, block=True)
+            self._reap_flushes(inflight_flushes, block=True)
             stats.flush_seconds += time.perf_counter() - flush_start
         self._abandon_pending(pending)
 
@@ -616,6 +627,7 @@ class OffloadEngineBase:
             # checkpoint stores, not on the tiers — the fetch goes through
             # the restore reader when its turn comes (no tier prefetch).
             return
+        self._await_write_behind(subgroup_index)
         sg = self._by_index[subgroup_index]
         tier_name = self.tier.placement.tier_of(sg.index)
         lease = self.concurrency.try_exclusive(tier_name, self.worker)
@@ -698,6 +710,7 @@ class OffloadEngineBase:
             return self._fetch_restored(sg, fields)
         entry = pending.pop(sg.index, None)
         if entry is None:
+            self._await_write_behind(sg.index)
             outs = self._acquire_fetch_buffers(sg, fields)
             if self.tier.is_striped_subgroup(sg.key):
                 # Striped reads span every stripe path — submit without a
@@ -735,26 +748,50 @@ class OffloadEngineBase:
             raise
         return arrays
 
-    def _reap_flushes(
-        self, inflight: List[_PendingFlush], stats: UpdatePhaseStats, *, block: bool
-    ) -> None:
+    def _flush_behind(
+        self, sg: Subgroup, arrays: Mapping[str, np.ndarray], on_landed: Callable[[], object]
+    ) -> _PendingFlush:
+        """Submit a lazy flush (no tier lease: ``flush_subgroup``'s deadlock note)."""
+        futures = self.tier.flush_subgroup(
+            sg.key, sg.index, arrays, tier=self._flush_target(sg, arrays), wait=False
+        )
+        return (sg.index, list(futures), on_landed)
+
+    def _reap_flushes(self, inflight: List[_PendingFlush], *, block: bool) -> None:
         """Retire completed lazy flushes, recycling their buffers.
 
         With ``block=True`` every in-flight flush is awaited (the phase-end
         barrier); otherwise only flushes that already finished are reaped.
         Errors surface here, so a failed lazy write cannot be silently lost.
         """
-        remaining: List[_PendingFlush] = []
-        for subgroup_index, futures, arrays in inflight:
-            if not block and not all(f.done() for f in futures):
-                remaining.append((subgroup_index, futures, arrays))
-                continue
+        due = [block or all(f.done() for f in entry[1]) for entry in inflight]
+        landed = [entry for entry, d in zip(inflight, due) if d]
+        inflight[:] = [entry for entry, d in zip(inflight, due) if not d]
+        self._land(landed)
+
+    def _await_write_behind(self, subgroup_index: int) -> None:
+        """Read-after-write: land this subgroup's in-flight write first (before
+        its stripe commit, a striped read plans against the old manifest)."""
+        inflight = self._write_behind or []
+        mine = [entry for entry in inflight if entry[0] == subgroup_index]
+        if mine:
+            inflight[:] = [entry for entry in inflight if entry[0] != subgroup_index]
+            self._land(mine)
+
+    @staticmethod
+    def _land(entries: List[_PendingFlush]) -> None:
+        """Await ``entries``, hand back every entry's arrays, then raise the first failure."""
+        error: Optional[BaseException] = None
+        for _, futures, on_landed in entries:
             for future in futures:
-                result = future.result()
-                if not result.ok:
-                    raise result.error
-            self.pool.release_all(arrays)
-        inflight[:] = remaining
+                try:
+                    failure = future.result().error
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    failure = exc
+                error = error or failure
+            on_landed()
+        if error is not None:
+            raise error
 
     def _abandon_pending(self, pending: Dict[int, _PendingFetch]) -> None:
         """Drain and recycle prefetches that were never consumed (safety net)."""
@@ -778,13 +815,10 @@ class OffloadEngineBase:
                     pass
             self.pool.release_all(outs.values())
         pending.clear()
-        for _, futures, arrays in inflight:
-            for future in futures:
-                try:
-                    future.result()
-                except BaseException:  # noqa: BLE001 - already failing
-                    pass
-            self.pool.release_all(arrays)
+        try:
+            self._land(inflight)
+        except BaseException:  # noqa: BLE001 - already failing
+            pass
         inflight.clear()
 
     def _flush_now(self, sg: Subgroup, arrays: Mapping[str, np.ndarray]) -> None:
@@ -824,10 +858,23 @@ class OffloadEngineBase:
         ]
         return idle[0] if idle else current
 
-    def _writeback(self, subgroup_index: int, arrays: Mapping[str, np.ndarray]) -> None:
-        """Cache-eviction callback: flush a dirty subgroup to its tier."""
+    def _writeback(
+        self, subgroup_index: int, arrays: Mapping[str, np.ndarray]
+    ) -> Optional[concurrent.futures.Future]:
+        """Cache-eviction callback: write a dirty subgroup back to its tier; in a
+        pipelined phase behind, returning the future that lands (releases) it."""
         sg = self._by_index[subgroup_index]
-        self._flush_now(sg, arrays)
+        if self._write_behind is None:
+            self._flush_now(sg, arrays)
+            return None
+        # One write behind at a time (the pool's footprint): the previous one
+        # finishes first; the loop reaps it, raising its error outside ``put``.
+        concurrent.futures.wait([f for entry in self._write_behind for f in entry[1]])
+        landed: concurrent.futures.Future = concurrent.futures.Future()
+        self._write_behind.append(
+            self._flush_behind(sg, arrays, functools.partial(landed.set_result, None))
+        )
+        return landed
 
     def _release_evicted(self, subgroup_index: int, arrays: Mapping[str, np.ndarray]) -> None:
         """Cache-departure callback: recycle pooled buffers that left the cache."""

@@ -15,6 +15,7 @@ exactly the population the reversal exploits.
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
@@ -61,13 +62,17 @@ class HostSubgroupCache:
     writeback:
         Callable invoked with ``(subgroup_id, arrays)`` when a *dirty* entry
         is evicted; the offloading engine uses it to flush the evicted
-        subgroup to its storage tier.  If ``None``, dirty evictions raise.
+        subgroup to its storage tier.  It returns ``None`` once written, or a
+        :class:`concurrent.futures.Future` that completes when its write-behind
+        has landed.  If ``None``, dirty evictions raise.
     on_evict:
         Callable invoked with ``(subgroup_id, arrays)`` whenever an entry
         *leaves* the cache (eviction or :meth:`clear` — not
-        :meth:`flush_dirty`, which keeps entries resident), after any dirty
-        writeback has completed.  The offloading engine uses it to return
-        pooled scratch buffers to their :class:`~repro.tiers.array_pool.ArrayPool`.
+        :meth:`flush_dirty`, which keeps entries resident) and no write can
+        still read its arrays: at once for a clean entry, after the writeback
+        for a dirty one — from the future's completion for a write-behind.
+        The offloading engine uses it to return pooled scratch buffers to
+        their :class:`~repro.tiers.array_pool.ArrayPool`.
     """
 
     def __init__(self, capacity_bytes: float, writeback=None, *, on_evict=None) -> None:
@@ -178,8 +183,7 @@ class HostSubgroupCache:
             entry = self._entries.pop(subgroup_id, None)
             if entry is None:
                 return False
-            self._writeback_if_dirty(entry)
-            self._notify_evict(entry)
+            self._depart(entry)
             self.stats.evictions += 1
             return True
 
@@ -198,8 +202,7 @@ class HostSubgroupCache:
         """Evict everything (dirty entries are written back)."""
         with self._lock:
             for entry in list(self._entries.values()):
-                self._writeback_if_dirty(entry)
-                self._notify_evict(entry)
+                self._depart(entry)
                 self.stats.evictions += 1
             self._entries.clear()
 
@@ -221,16 +224,26 @@ class HostSubgroupCache:
         if arrays:
             self.on_evict(entry.subgroup_id, arrays)
 
-    def _writeback_if_dirty(self, entry: CacheEntry) -> None:
+    def _writeback_if_dirty(self, entry: CacheEntry) -> Optional[concurrent.futures.Future]:
+        """Write ``entry`` back if dirty; returns the write-behind's future, if any."""
         if not entry.dirty:
-            return
+            return None
         if self.writeback is None:
             raise RuntimeError(
                 f"evicting dirty subgroup {entry.subgroup_id} without a writeback callback"
             )
-        self.writeback(entry.subgroup_id, entry.arrays)
+        landed = self.writeback(entry.subgroup_id, entry.arrays)
         self.stats.dirty_evictions += 1
         entry.dirty = False
+        return landed if isinstance(landed, concurrent.futures.Future) else None
+
+    def _depart(self, entry: CacheEntry) -> None:
+        """Write back a leaving entry; ``on_evict`` once no write reads its arrays."""
+        landed = self._writeback_if_dirty(entry)
+        if landed is None:
+            self._notify_evict(entry)
+        else:
+            landed.add_done_callback(lambda _landed: self._notify_evict(entry))
 
     def _evict_until(self, incoming_bytes: int) -> None:
         """Evict oldest-stamped entries until ``incoming_bytes`` fits."""
@@ -238,9 +251,8 @@ class HostSubgroupCache:
         if used + incoming_bytes <= self.capacity_bytes:
             return
         for entry in sorted(self._entries.values(), key=lambda e: e.stamp):
-            self._writeback_if_dirty(entry)
+            self._depart(entry)
             del self._entries[entry.subgroup_id]
-            self._notify_evict(entry)
             self.stats.evictions += 1
             used -= entry.nbytes
             if used + incoming_bytes <= self.capacity_bytes:

@@ -13,7 +13,10 @@ The contract under test (ISSUE 9): with the fault-tolerance machinery on,
   incremented) instead of failing training;
 * an unreadable striped field surfaces as a typed
   :class:`DegradedReadError` — with no leaked pool buffers and a tier
-  engine that still drains (never a wedge, never a silent wrong answer).
+  engine that still drains (never a wedge, never a silent wrong answer);
+* a dirty cache eviction written behind the update loop behaves like any
+  other lazy flush: transient errors stay invisible, and a terminal one
+  fails the phase that evicted it, with no stranded buffer.
 """
 
 import numpy as np
@@ -272,5 +275,88 @@ class TestDegradedReadSurfacesTyped:
                 assert engine.pool.outstanding_count == 0
                 engine.tier.engine.drain(timeout=30.0)
                 assert not engine.tier.health.is_healthy("pfs")
+        finally:
+            clear_faults()
+
+
+def _cached_config(root, **overrides):
+    """Three of eight subgroups fit the cache; sequential order, so phase 1
+    evicts subgroup 0 (dirty) to make room for subgroup 3."""
+    return _make_config(
+        root, host_cache_bytes=3 * SUBGROUP * 12, enable_cache_reorder=False, **overrides
+    )
+
+
+def _train_cached(config, layout, initial, grads, rules):
+    """Like :func:`_drive`, but ``rules`` are armed only after initialize,
+    so they hit update-phase writes and nothing earlier."""
+    plan = arm_faults(FaultPlan())
+    try:
+        views = flat_views(None, layout, 0)
+        with MLPOffloadEngine(config, layout, rank=0) as engine:
+            engine.initialize(initial.copy())
+            for rule in rules:
+                plan.add(rule)
+            fp16 = initial.astype(np.float16)
+            evictions = []
+            for grad in grads:
+                for index, view in views.items():
+                    engine.on_backward_gradient(index, grad[view].astype(np.float16))
+                engine.on_microbatch_complete()
+                engine.run_update(fp16)
+                evictions.append(engine.cache.stats.dirty_evictions)
+            master = engine.fetch_master_params()
+            steps = dict(engine._steps)
+        return fp16, master, steps, evictions, plan
+    finally:
+        clear_faults()
+
+
+class TestEvictionWriteBehindFaults:
+    def test_transient_eio_on_eviction_writes_is_bitwise_transparent(
+        self, tmp_path, layout, training_inputs
+    ):
+        initial, grads = training_inputs
+        baseline = _train_cached(_cached_config(tmp_path / "clean"), layout, initial, grads, ())
+        rules = [
+            FaultRule(kind="eio", op="write", key="rank0-sg00000.*", count=2),
+            FaultRule(kind="eio", op="write", key="rank0-sg00004.*", count=2),
+        ]
+        faulted = _train_cached(_cached_config(tmp_path / "eio"), layout, initial, grads, rules)
+        assert faulted[4].injected == {"eio": 4}
+        assert baseline[3] == faulted[3] and faulted[3][0] > 0  # dirty evictions
+        np.testing.assert_array_equal(baseline[0], faulted[0])
+        np.testing.assert_array_equal(baseline[1], faulted[1])
+        assert baseline[2] == faulted[2]
+
+    def test_failed_eviction_write_fails_its_own_phase_without_leaks(
+        self, tmp_path, layout, training_inputs
+    ):
+        initial, grads = training_inputs
+        # No quarantine: a write that exhausts its retries is terminal
+        # instead of failing over onto the surviving path.
+        config = _cached_config(tmp_path / "fail", path_quarantine_failures=0)
+        plan = arm_faults(FaultPlan())
+        try:
+            views = flat_views(None, layout, 0)
+            with MLPOffloadEngine(config, layout, rank=0) as engine:
+                engine.initialize(initial.copy())
+                plan.add(
+                    FaultRule(kind="dead", op="write", tier="pfs", key="rank0-sg00000.*", count=0)
+                )
+                fp16 = initial.astype(np.float16)
+                for index, view in views.items():
+                    engine.on_backward_gradient(index, grads[0][view].astype(np.float16))
+                engine.on_microbatch_complete()
+                with pytest.raises(OSError, match="injected dead path"):
+                    engine.run_update(fp16)
+                assert plan.injected["dead"] >= config.io.retry_attempts
+                assert engine.cache.stats.dirty_evictions >= 1
+                assert 0 not in engine.cache
+                # Only cache-resident arrays are still leased: the failed
+                # write-behind, prefetches and lazy flushes all came back.
+                resident = sum(len(entry.arrays) for entry in engine.cache)
+                assert engine.pool.outstanding_count == resident
+                engine.tier.engine.drain(timeout=30.0)
         finally:
             clear_faults()

@@ -11,8 +11,9 @@ recycled arrays.
 import numpy as np
 import pytest
 
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
+from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
 
@@ -40,6 +41,7 @@ def _make_config(
     delayed_grads=True,
     cache_reorder=True,
     host_cache_bytes=3 * SUBGROUP * 12,
+    **overrides,
 ):
     local = root / "nvme"
     remote = root / "pfs"
@@ -57,11 +59,15 @@ def _make_config(
         prefetch_depth=prefetch_depth,
         enable_delayed_grad_conversion=delayed_grads,
         enable_cache_reorder=cache_reorder,
+        **overrides,
     )
 
 
-def _drive(config, layout, initial, grads):
-    """Run a full training loop; return everything observable about the result."""
+def _drive(config, layout, initial, grads, *, after_phase=None):
+    """Run a full training loop; return everything observable about the result.
+
+    ``after_phase(phase)`` runs after each update phase returns.
+    """
     views = flat_views(None, layout, 0)
     with MLPOffloadEngine(config, layout, rank=0) as engine:
         engine.initialize(initial.copy())
@@ -72,6 +78,8 @@ def _drive(config, layout, initial, grads):
                 engine.on_backward_gradient(index, grad[view].astype(np.float16))
             engine.on_microbatch_complete()
             orders.append(engine.run_update(fp16).order)
+            if after_phase is not None:
+                after_phase(len(orders))
         master = engine.fetch_master_params()
         steps = dict(engine._steps)
         tier_contents = {}
@@ -140,6 +148,55 @@ class TestBitwiseEquivalence:
         np.testing.assert_array_equal(seq[0], pipe[0])
         np.testing.assert_array_equal(seq[1], pipe[1])
         assert seq[4] == pipe[4]
+
+
+class TestWriteBehindReadAfterWrite:
+    def test_victim_fetched_while_its_eviction_write_is_in_flight(
+        self, tmp_path, layout, training_inputs
+    ):
+        """A dirty eviction written behind is read back in the same phase.
+
+        Sequential order with a cache of seven of the eight subgroups
+        thrashes (§3.1): phase 2 opens by evicting subgroup 1 (dirty since
+        phase 1) to make room for subgroup 0, then fetches subgroup 1 next.
+        A stall on one of its stripe writes holds that write in flight
+        across the fetch, so the pipelined run is only correct if the fetch
+        waits for the subgroup's own write — before the write's stripe
+        commit, a read plans against the old manifest.
+        """
+        initial, grads = training_inputs
+        striped = dict(
+            cache_reorder=False,
+            host_cache_bytes=7 * SUBGROUP * 12,
+            stripe=StripeConfig(threshold_bytes=1024.0),
+        )
+        seq = _drive(
+            _make_config(tmp_path / "seq", pipelined=False, **striped), layout, initial, grads
+        )
+        plan = FaultPlan()
+
+        def stall_victim_write(phase):
+            if phase == 1:
+                plan.add(FaultRule(kind="stall", op="write", key="rank0-sg00001.*", seconds=0.5))
+
+        arm_faults(plan)
+        try:
+            pipe = _drive(
+                _make_config(tmp_path / "pipe", pipelined=True, **striped),
+                layout,
+                initial,
+                grads,
+                after_phase=stall_victim_write,
+            )
+        finally:
+            clear_faults()
+        assert plan.injected == {"stall": 1}
+        assert seq[3] == pipe[3]  # same orders
+        np.testing.assert_array_equal(seq[0], pipe[0])  # fp16 params
+        np.testing.assert_array_equal(seq[1], pipe[1])  # fp32 masters
+        assert seq[2] == pipe[2]  # step counters
+        assert any(".stripe" in key for _, key in pipe[4])
+        assert seq[4] == pipe[4]  # tier contents
 
 
 class TestZeroAllocationSteadyState:

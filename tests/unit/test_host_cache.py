@@ -1,5 +1,7 @@
 """Unit tests for the host subgroup cache."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,46 @@ class TestDirtyTracking:
         assert written == [0]
         cache.clear()
         assert len(cache) == 0
+
+
+class TestWriteBehindOwnership:
+    def test_on_evict_waits_for_the_write_behind_to_land(self):
+        landed = concurrent.futures.Future()
+        released = []
+        cache = HostSubgroupCache(
+            capacity_bytes=500,
+            writeback=lambda sg, arrays: landed,
+            on_evict=lambda sg, arrays: released.append((sg, arrays)),
+        )
+        victim = _arrays(50)
+        cache.put(0, victim, dirty=True)
+        cache.put(1, _arrays(50), dirty=True)
+        cache.put(2, _arrays(50), dirty=True)  # evicts 0, write still in flight
+        assert 0 not in cache
+        assert cache.stats.dirty_evictions == 1
+        assert released == []  # the write still owns the arrays
+        landed.set_result(None)
+        assert released == [(0, victim)]
+
+    def test_clean_eviction_releases_at_once_beside_a_write_behind(self):
+        released = []
+        cache = HostSubgroupCache(
+            capacity_bytes=250,
+            writeback=lambda sg, arrays: concurrent.futures.Future(),
+            on_evict=lambda sg, arrays: released.append(sg),
+        )
+        cache.put(0, _arrays(50), dirty=True)
+        cache.put(1, _arrays(50))  # evicts dirty 0: its write never lands here
+        cache.put(2, _arrays(50))  # evicts clean 1
+        assert released == [1]
+
+    def test_synchronous_writeback_releases_after_writing(self):
+        events = []
+        cache = HostSubgroupCache(
+            capacity_bytes=250,
+            writeback=lambda sg, arrays: events.append(("write", sg)),
+            on_evict=lambda sg, arrays: events.append(("release", sg)),
+        )
+        cache.put(0, _arrays(50), dirty=True)
+        cache.put(1, _arrays(50))
+        assert events == [("write", 0), ("release", 0)]
