@@ -307,6 +307,7 @@ class AsyncIOEngine:
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.stores = dict(stores)
+        self.num_threads = num_threads
         self.lock_manager = lock_manager
         self.retry_policy = retry_policy if retry_policy is not None else NO_RETRY
         #: Optional health observer notified per terminal outcome: an object

@@ -434,7 +434,6 @@ def update_pipeline_comparison(
     pfs_bw: float = 25e6,
     latency: float = 0.002,
     prefetch_depth: int = 4,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Sequential vs pipelined update phase on a throttled-tier workload.
@@ -497,7 +496,7 @@ def update_pipeline_comparison(
             "pfs": BandwidthThrottle(pfs_bw, simulate=False, latency=latency, duplex=True),
         }
         phase_seconds = []
-        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles, io_threads=io_threads) as engine:
+        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
             engine.initialize(initial.copy())
             fp16 = initial.astype(np.float16)
             for grad in grads:
@@ -557,7 +556,6 @@ def striped_read_comparison(
     pfs_read_bw: float = 25e6,
     write_bw: float = 160e6,
     latency: float = 0.0005,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Single-path vs striped multi-path subgroup reads on throttled dual tiers.
@@ -634,9 +632,7 @@ def striped_read_comparison(
         }
         phase_seconds = []
         fetch_bytes = fetch_seconds = 0.0
-        with MLPOffloadEngine(
-            config, layout, rank=0, throttles=throttles, io_threads=io_threads
-        ) as engine:
+        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
             engine.initialize(initial.copy())
             fp16 = initial.astype(np.float16)
             for grad in grads:
@@ -738,7 +734,6 @@ def checkpoint_overhead_comparison(
     pfs_bw: float = 7e6,
     write_bw: float = 30e6,
     latency: float = 0.002,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Per-step cost of checkpointing: none vs sync stall vs async overlap.
@@ -832,9 +827,7 @@ def checkpoint_overhead_comparison(
         }
         step_seconds = []
         versions: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        with MLPOffloadEngine(
-            config, layout, rank=0, throttles=throttles, io_threads=io_threads
-        ) as engine:
+        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
             engine.initialize(initial.copy())
             fp16 = initial.astype(np.float16)
             for index, grad in enumerate(grads):
@@ -914,7 +907,7 @@ def checkpoint_overhead_comparison(
     restart_bitwise = True
     restore_rows = []
     for version, (fp16_expected, master_expected) in sorted(versions.items()):
-        fresh = MLPOffloadEngine(async_config, layout, rank=0, io_threads=io_threads)
+        fresh = MLPOffloadEngine(async_config, layout, rank=0)
         try:
             restore_start = time.perf_counter()
             restored = fresh.restore_checkpoint(version)
@@ -994,7 +987,6 @@ def multirank_checkpoint_comparison(
     pfs_bw: float = 7e6,
     write_bw: float = 30e6,
     latency: float = 0.002,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Cost and crash-safety of the global two-phase checkpoint commit.
@@ -1096,7 +1088,7 @@ def multirank_checkpoint_comparison(
         engines = [
             MLPOffloadEngine(
                 config, layout, rank=rank, lock_manager=manager, throttles=throttles,
-                io_threads=io_threads, checkpoint_coordinator=coordinator,
+                checkpoint_coordinator=coordinator,
             )
             for rank in range(ranks)
         ]
@@ -1166,7 +1158,7 @@ def multirank_checkpoint_comparison(
     for rank in range(ranks):
         fresh = MLPOffloadEngine(
             config_c, layout, rank=rank, lock_manager=recovery_manager,
-            io_threads=io_threads, checkpoint_coordinator=recovery_coordinator,
+            checkpoint_coordinator=recovery_coordinator,
         )
         try:
             restore_start = time.perf_counter()
@@ -1529,7 +1521,6 @@ def checkpoint_compression_comparison(
     pfs_bw: float = 8e6,
     write_bw: float = 40e6,
     latency: float = 0.002,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Checkpoint bytes and restart latency: codecs × restore modes.
@@ -1640,9 +1631,7 @@ def checkpoint_compression_comparison(
         root = base / (label or codec.replace("-", "_"))
         config = make_config(root, codec, cache_subgroups=cache_subgroups)
         step_seconds = []
-        with MLPOffloadEngine(
-            config, layout, rank=0, throttles=make_throttles(), io_threads=io_threads
-        ) as engine:
+        with MLPOffloadEngine(config, layout, rank=0, throttles=make_throttles()) as engine:
             engine.initialize(initial.copy())
             fp16 = initial.astype(np.float16)
             version = None
@@ -1671,9 +1660,7 @@ def checkpoint_compression_comparison(
     from dataclasses import replace as _replace
 
     ref_config = _replace(make_config(base / "reference", "raw"), checkpoint_dir=None)
-    with MLPOffloadEngine(
-        ref_config, layout, rank=0, throttles=make_throttles(), io_threads=io_threads
-    ) as ref_engine:
+    with MLPOffloadEngine(ref_config, layout, rank=0, throttles=make_throttles()) as ref_engine:
         ref_engine.initialize(initial.copy())
         ref_fp16 = initial.astype(np.float16)
         for grad in grads:
@@ -1711,9 +1698,7 @@ def checkpoint_compression_comparison(
             streaming=streaming,
             cache_subgroups=clean_run_dirty_subgroups,
         )
-        engine = MLPOffloadEngine(
-            config, layout, rank=0, throttles=make_throttles(), io_threads=io_threads
-        )
+        engine = MLPOffloadEngine(config, layout, rank=0, throttles=make_throttles())
         try:
             restore_start = time.perf_counter()
             restored = engine.restore_checkpoint(clean_version)
@@ -2010,7 +1995,6 @@ def io_fault_resilience_comparison(
     pfs_read_bw: float = 25e6,
     write_bw: float = 160e6,
     latency: float = 0.0005,
-    io_threads: int = 8,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Training throughput under injected tier-I/O faults on throttled tiers.
@@ -2090,9 +2074,7 @@ def io_fault_resilience_comparison(
         try:
             phase_seconds = []
             retries = 0
-            with MLPOffloadEngine(
-                config, layout, rank=0, throttles=throttles, io_threads=io_threads
-            ) as engine:
+            with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
                 engine.initialize(initial.copy())
                 fp16 = initial.astype(np.float16)
                 for grad in grads:

@@ -189,7 +189,6 @@ class CheckpointWriter:
         pool: ArrayPool,
         tier: VirtualTier,
         throttles: Optional[Mapping[str, object]] = None,
-        io_threads: int = 2,
         coordinator: Optional[CheckpointCoordinator] = None,
     ) -> None:
         if not config.checkpoint_enabled:
@@ -200,7 +199,10 @@ class CheckpointWriter:
         self.tier = tier
         self.stores = build_blob_stores(config, throttles=throttles)
         self.store_names: List[str] = list(self.stores)
-        self.engine = AsyncIOEngine(self.stores, num_threads=io_threads, queue_depth=32)
+        # A fixed two-thread drain, apart from the tier engine's pool: the
+        # drain shares the tiers' throttled devices, so a wider one buys no
+        # bandwidth and only holds more buffers in flight (peak RSS).
+        self.engine = AsyncIOEngine(self.stores, num_threads=2, queue_depth=32)
         self.manifests = ManifestStore(config.checkpoint_dir, worker)
         #: Global-commit coordinator (two-phase multi-rank protocol); ``None``
         #: keeps the PR 3/4 per-worker independent commits.

@@ -111,7 +111,6 @@ class OffloadEngineBase:
         *,
         lock_manager: Optional[TierLockManager] = None,
         throttles: Optional[Mapping[str, object]] = None,
-        io_threads: int = 4,
         checkpoint_coordinator: Optional[CheckpointCoordinator] = None,
     ) -> None:
         self.config = config
@@ -131,7 +130,6 @@ class OffloadEngineBase:
             config,
             worker=self.worker,
             lock_manager=self.concurrency.lock_manager,
-            io_threads=io_threads,
             # Size the submission queue to the largest possible prefetch
             # window (up to four field reads per subgroup plus a flushed
             # subgroup's writes, each multiplied by the stripe fan-out when
@@ -140,9 +138,11 @@ class OffloadEngineBase:
             # the window up to ``max_prefetch_depth``.  Lazy flushes beyond
             # that are bounded by this back-pressure (written-behind evictions
             # also go one at a time).  An eviction's submit may block inside
-            # ``cache.put`` (cache lock held, no tier lease) without deadlock:
-            # the I/O threads draining the queue never take the cache lock —
-            # its ``on_evict`` runs on the rank thread once the write is reaped.
+            # ``cache.put`` (cache lock held, no tier lease) without deadlock
+            # at any pool size: the I/O threads draining the queue never take
+            # the cache lock — its ``on_evict`` runs on the rank thread once
+            # the write is reaped.  The pool is two threads per (path,
+            # direction) channel, so a throttled sleeper never idles another.
             queue_depth=max(
                 16, 4 * (config.effective_prefetch_ceiling() + 2) * config.stripe_fanout()
             ),
@@ -222,7 +222,6 @@ class OffloadEngineBase:
                 pool=self.pool,
                 tier=self.tier,
                 throttles=throttles,
-                io_threads=max(2, io_threads // 2),
                 coordinator=self.ckpt_coordinator,
             )
 
@@ -470,7 +469,7 @@ class OffloadEngineBase:
         stats: UpdatePhaseStats,
     ) -> None:
         """The fetch → convert → Adam → flush walk over ``order`` (both modes)."""
-        self._fill_prefetch_window(order, 0, initial, pending, fetch_fields)
+        self._fill_prefetch_window(order, 0, initial, pending, fetch_fields, stats)
 
         for position, subgroup_index in enumerate(order):
             sg = self._by_index[subgroup_index]
@@ -485,7 +484,7 @@ class OffloadEngineBase:
                 stats.fetch_bytes += int(sum(a.nbytes for a in arrays.values()))
             # Slide the lookahead window before computing this subgroup
             # (line 11 of Algorithm 1).
-            self._fill_prefetch_window(order, position + 1, slide, pending, fetch_fields)
+            self._fill_prefetch_window(order, position + 1, slide, pending, fetch_fields, stats)
 
             # Delayed (or stored) gradient conversion, into pooled scratch.
             conv_start = time.perf_counter()
@@ -604,10 +603,11 @@ class OffloadEngineBase:
         depth: int,
         pending: Dict[int, _PendingFetch],
         fields: List[str],
+        stats: UpdatePhaseStats,
     ) -> None:
         """Issue async prefetches for ``order[position : position + depth]``."""
         for ahead in range(position, min(position + depth, len(order))):
-            self._maybe_prefetch(order, ahead, pending, fields)
+            self._maybe_prefetch(order, ahead, pending, fields, stats)
 
     def _maybe_prefetch(
         self,
@@ -615,6 +615,7 @@ class OffloadEngineBase:
         position: int,
         pending: Dict[int, _PendingFetch],
         fields: List[str],
+        stats: UpdatePhaseStats,
     ) -> None:
         """Start the asynchronous prefetch of the subgroup at ``position`` in ``order``."""
         if position >= len(order):
@@ -634,6 +635,7 @@ class OffloadEngineBase:
         if lease is None:
             # The tier is busy with another worker; defer (the fetch will be
             # issued synchronously when the subgroup's turn comes).
+            stats.deferred_prefetches += 1
             return
         # The probe above only checks the tier is currently available to this
         # worker; actual exclusion is enforced per request by the I/O engine's

@@ -39,6 +39,9 @@ class UpdatePhaseStats:
     #: Flushes/prefetches transparently re-routed off a failed path during
     #: this phase (degraded-mode failover rewrites).
     io_failovers: int = 0
+    #: Prefetches skipped because a peer worker held the placement tier's
+    #: lease (that subgroup is then fetched synchronously on its turn).
+    deferred_prefetches: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -85,6 +88,7 @@ class UpdatePhaseStats:
             grad_drain_seconds=self.grad_drain_seconds + other.grad_drain_seconds,
             io_retries=self.io_retries + other.io_retries,
             io_failovers=self.io_failovers + other.io_failovers,
+            deferred_prefetches=self.deferred_prefetches + other.deferred_prefetches,
         )
 
 

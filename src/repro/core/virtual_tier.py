@@ -221,8 +221,12 @@ class VirtualTier:
     lock_manager:
         Node-level lock manager shared by all workers of the node (may be
         ``None`` to disable locking at the I/O layer).
-    io_threads / queue_depth:
-        Passed through to the :class:`AsyncIOEngine`.
+    queue_depth:
+        Passed through to the :class:`AsyncIOEngine`.  Its thread count is
+        derived, not passed: two per (active path, direction) channel, i.e.
+        ``4 * len(tier_names)`` — one request transfers while the next waits
+        for its slot on that channel's throttle, so a sleeping write never
+        holds the thread another channel's read needs.
     """
 
     def __init__(
@@ -231,7 +235,6 @@ class VirtualTier:
         *,
         worker: str = "worker0",
         lock_manager: Optional[TierLockManager] = None,
-        io_threads: int = 4,
         queue_depth: int = 16,
         throttles: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -281,7 +284,7 @@ class VirtualTier:
         self.stores = faultstore.maybe_wrap(self.stores)
         self.engine = AsyncIOEngine(
             self.stores,
-            num_threads=io_threads,
+            num_threads=4 * len(self.tier_names),
             queue_depth=queue_depth,
             lock_manager=lock_manager if config.enable_tier_locks else None,
             retry_policy=IORetryPolicy(

@@ -75,9 +75,6 @@ class StorageTierSpec:
     shared_across_nodes:
         ``True`` for external storage (PFS, object stores) whose bandwidth is
         shared by all compute nodes of a job; ``False`` for node-local tiers.
-    preferred_io_threads:
-        The I/O parallelism at which the tier reaches peak bandwidth (a PFS
-        typically wants several streams, an NVMe saturates with few).
     """
 
     name: str
@@ -86,15 +83,12 @@ class StorageTierSpec:
     write_bw: float
     capacity: float
     shared_across_nodes: bool = False
-    preferred_io_threads: int = 1
 
     def __post_init__(self) -> None:
         if self.read_bw <= 0 or self.write_bw <= 0:
             raise ValueError(f"tier {self.name!r} must have positive bandwidths")
         if self.capacity <= 0:
             raise ValueError(f"tier {self.name!r} must have positive capacity")
-        if self.preferred_io_threads < 1:
-            raise ValueError("preferred_io_threads must be >= 1")
 
     @property
     def effective_bw(self) -> float:
@@ -488,7 +482,6 @@ def _make_testbed_1() -> NodeSpec:
         write_bw=5.3 * GB,
         capacity=3.2e12,  # 2x RAID-mounted 1.6 TB NVMe M2 SSDs
         shared_across_nodes=False,
-        preferred_io_threads=2,
     )
     pfs = StorageTierSpec(
         name="pfs",
@@ -497,7 +490,6 @@ def _make_testbed_1() -> NodeSpec:
         write_bw=3.6 * GB,
         capacity=1e15,  # 1 PB VAST
         shared_across_nodes=True,
-        preferred_io_threads=4,
     )
     return NodeSpec(
         name="testbed-1",
@@ -521,7 +513,6 @@ def _make_testbed_2() -> NodeSpec:
         write_bw=4.8 * GB,
         capacity=3.2e12,
         shared_across_nodes=False,
-        preferred_io_threads=2,
     )
     pfs = StorageTierSpec(
         name="pfs",
@@ -530,7 +521,6 @@ def _make_testbed_2() -> NodeSpec:
         write_bw=13.7 * GB,
         capacity=100e15,  # 100 PB ClusterStor E1000
         shared_across_nodes=True,
-        preferred_io_threads=8,
     )
     return NodeSpec(
         name="testbed-2",

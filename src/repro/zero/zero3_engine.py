@@ -63,7 +63,6 @@ class ZeRO3OffloadEngine(OffloadEngineBase):
         *,
         lock_manager: Optional[TierLockManager] = None,
         throttles: Optional[Mapping[str, object]] = None,
-        io_threads: int = 4,
     ) -> None:
         super().__init__(
             zero3_config(config),
@@ -71,5 +70,4 @@ class ZeRO3OffloadEngine(OffloadEngineBase):
             rank,
             lock_manager=lock_manager,
             throttles=throttles,
-            io_threads=io_threads,
         )

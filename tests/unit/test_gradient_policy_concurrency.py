@@ -1,10 +1,15 @@
 """Unit tests for gradient-conversion policies, concurrency control and engine stats."""
 
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.aio.locks import TierLockManager
 from repro.core.concurrency import NodeConcurrencyController
+from repro.core.engine import MLPOffloadEngine
 from repro.core.gradient_policy import (
     GradientConversionPolicy,
     backward_flush_payload,
@@ -13,6 +18,7 @@ from repro.core.gradient_policy import (
 )
 from repro.core.stats import IterationStats, UpdatePhaseStats, aggregate_tier_distribution
 from repro.train.gradients import GradientAccumulator
+from repro.train.sharding import build_shard_layout
 
 
 @pytest.fixture
@@ -113,6 +119,57 @@ class TestNodeConcurrencyController:
         lease.release()
 
 
+class TestDeferredPrefetches:
+    """``deferred_prefetches`` counts prefetches skipped on a peer's tier lease."""
+
+    @staticmethod
+    def _backward(engine, rng):
+        for sg in engine.subgroups:
+            engine.on_backward_gradient(
+                sg.index, rng.standard_normal(sg.num_params).astype(np.float16)
+            )
+        engine.on_microbatch_complete()
+
+    def test_peer_lease_defers_prefetches(self, two_tier_config, rng):
+        config = replace(two_tier_config, host_cache_bytes=0)
+        layout = build_shard_layout(total_params=8_000, num_ranks=2, subgroup_size=1_000)
+        manager = TierLockManager()
+        engines = [MLPOffloadEngine(config, layout, rank=r, lock_manager=manager) for r in range(2)]
+        rank0, peer = engines
+        try:
+            for engine in engines:
+                engine.initialize(
+                    rng.standard_normal(layout.rank_params(engine.rank)).astype(np.float32)
+                )
+            fp16 = np.zeros(layout.rank_params(0), dtype=np.float16)
+            self._backward(rank0, rng)
+            assert rank0.run_update(fp16).stats.deferred_prefetches == 0
+
+            # The peer holds every tier: rank0 defers its whole prefetch
+            # window, then blocks on its first synchronous fetch.
+            tiers = rank0.tier.tier_names
+            leases = [peer.concurrency.try_exclusive(t, peer.worker) for t in tiers]
+            assert all(lease is not None for lease in leases)
+            self._backward(rank0, rng)
+            reports = []
+            worker = threading.Thread(target=lambda: reports.append(rank0.run_update(fp16)))
+            worker.start()
+            try:
+                deadline = time.monotonic() + 30
+                while not any(manager.waiters(t) for t in tiers):
+                    assert time.monotonic() < deadline, "rank0 never waited on a lease"
+                    time.sleep(0.005)
+            finally:
+                for lease in leases:
+                    lease.release()
+                worker.join(timeout=30)
+            assert not worker.is_alive() and len(reports) == 1
+            assert reports[0].stats.deferred_prefetches >= 1
+        finally:
+            for engine in engines:
+                engine.close()
+
+
 class TestStats:
     def test_update_phase_derived_metrics(self):
         stats = UpdatePhaseStats(
@@ -142,9 +199,12 @@ class TestStats:
 
     def test_merge_adds_counters_and_keeps_max_wall(self):
         a = UpdatePhaseStats(params_updated=10, wall_seconds=2.0, cache_hits=1)
-        b = UpdatePhaseStats(params_updated=20, wall_seconds=3.0, cache_misses=2)
+        b = UpdatePhaseStats(
+            params_updated=20, wall_seconds=3.0, cache_misses=2, deferred_prefetches=3
+        )
         merged = a.merge(b)
         assert merged.params_updated == 30
+        assert merged.deferred_prefetches == 3
         assert merged.wall_seconds == 3.0
         assert merged.cache_hits == 1 and merged.cache_misses == 2
 

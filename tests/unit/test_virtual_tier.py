@@ -1,5 +1,8 @@
 """Unit tests for the virtual multi-path tier."""
 
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from repro.core.virtual_tier import STATE_FIELDS, VirtualTier
 
 @pytest.fixture
 def virtual_tier(two_tier_config):
-    tier = VirtualTier(two_tier_config, worker="rank0", io_threads=2)
+    tier = VirtualTier(two_tier_config, worker="rank0")
     yield tier
     tier.close()
 
@@ -137,3 +140,59 @@ class TestFeedback:
         # so at least the touched tier's estimate must have moved.
         touched = virtual_tier.placement.tier_of(0)
         assert after[touched] != before[touched]
+
+
+class TestDerivedIOPool:
+    """The I/O pool is two threads per (active path, direction) channel."""
+
+    def test_pool_follows_active_paths(self, two_tier_config):
+        single = replace(two_tier_config, enable_multipath=False)
+        for config, threads in ((single, 4), (two_tier_config, 8)):
+            with VirtualTier(config) as tier:
+                assert tier.engine.num_threads == threads
+
+    def test_parked_writes_do_not_block_reads(self, virtual_tier, rng, monkeypatch):
+        """Two writes parked on each path (a throttle sleeping, say) must not
+        hold the thread a read on either path needs."""
+        virtual_tier.build_placement(range(8))
+        by_tier = {}
+        for index in range(8):
+            by_tier.setdefault(virtual_tier.placement.tier_of(index), index)
+        assert set(by_tier) == {"nvme", "pfs"}
+        arrays = _subgroup_arrays(rng)
+        for index in by_tier.values():
+            virtual_tier.flush_subgroup(f"rank0-sg{index:05d}", index, arrays)
+
+        release = threading.Event()
+        parked = threading.Semaphore(0)
+        for store in virtual_tier.stores.values():
+
+            def blocking_save(key, array, _save=store.save_from):
+                parked.release()
+                release.wait()
+                return _save(key, array)
+
+            monkeypatch.setattr(store, "save_from", blocking_save)
+
+        writes = [
+            virtual_tier.engine.write(name, f"parked-{name}-{n}", arrays["params"])
+            for name in ("nvme", "pfs")
+            for n in range(2)
+        ]
+        try:
+            for _ in writes:
+                assert parked.acquire(timeout=30)
+            reads = [
+                virtual_tier.prefetch_subgroup(f"rank0-sg{index:05d}", index, ["params"])
+                for index in by_tier.values()
+            ]
+            # The timeout only guards against a hang; the reads must land
+            # while every parked write is still waiting on ``release``.
+            for futures in reads:
+                result = futures["params"].result(timeout=30)
+                assert result.ok
+                np.testing.assert_array_equal(result.array, arrays["params"])
+            assert not any(w.done() for w in writes)
+        finally:
+            release.set()
+        assert all(w.result(timeout=30).ok for w in writes)
