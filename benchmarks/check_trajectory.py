@@ -1,54 +1,36 @@
-"""Perf-smoke regression gate over ``BENCH_*.json`` / ``SWEEP_*.json`` trajectories.
+"""Regression gate over ``SWEEP_*.json`` sweep result tables.
 
-The scheduled CI job regenerates every benchmark trajectory on the tiny
-standard configurations and then runs this comparator against the
-repo-committed baselines: a headline metric that regressed by more than the
-threshold (25% by default, on the median where a metric is a distribution)
-fails the job, so a perf regression cannot land silently behind a green
-functional suite.  Sweep result tables (``SWEEP_*.json``, produced by
-``python -m repro.sweep``) use the same trajectory-payload layout and are
-gated identically — the sweep-smoke CI job compares its regenerated tables
-against the committed ones.
+The sweep-smoke CI job regenerates a sweep result table (``python -m
+repro.sweep``) and runs this comparator against the repo-committed table: a
+headline metric that regressed by more than the threshold (25% by default)
+fails the job.
 
-Headline metrics extracted from each trajectory payload:
+Headline metrics extracted from each payload:
 
-* per-mode **median step/update time** — from ``series.trajectory`` rows
-  (``step_s``/``update_s`` grouped by ``mode``/``codec``/``engine``) or the
-  ``mean_update_s`` mapping of the older payload shape (lower is better);
-* **restore latency** — the median of the ``restore_latency_s`` mapping
-  (lower is better; the median, not per-key comparison, because the keys
-  are per-run version numbers);
-* **ratio/speedup scalars** — any ``*ratio``/``*speedup`` key
-  (``compression_ratio``, ``speedup``, ``restore_speedup``, …; higher is
-  better);
-* **overhead percentages** — every ``*_pct`` mapping (``overhead_pct``,
-  ``overhead_vs_raw_pct``, …; lower is better, compared in absolute
-  percentage points: a ratio of two near-zero percentages is meaningless).
+* **ratio/speedup scalars** — any top-level ``*ratio``/``*speedup`` key
+  (``median_speedup``, ``reference_match_ratio``, ``restore_ok_ratio``, …;
+  higher is better);
+* per-group **median step/update time** — from ``series.trajectory`` rows
+  (``step_s``/``update_s`` grouped by ``mode``/``codec``/``engine``; lower
+  is better).
 
-A benchmark whose comparison has *measured* run-to-run noise wider than
-the default budget declares it in the payload's top-level ``noise_points``
-mapping (metric name → absolute points, e.g.
-``{"overhead_pct:real_process": 20.0}``); the gate widens that metric's
-budget by the **baseline's** declared noise — the committed payload, not
-the candidate, owns the band, so a regressing run cannot vote itself a
-wider budget.
+Very small baselines (below ``--floor`` seconds) are skipped for the
+time metrics: a 2 ms step regressing to 3 ms is scheduler noise, not a
+signal.
 
-Very small baselines (below ``--floor`` seconds) are skipped for time-like
-metrics: a 2 ms step regressing to 3 ms is scheduler noise, not a signal.
+``--ratios-only`` restricts the gate to the machine-independent ratio and
+speedup scalars.  Use it whenever baseline and candidate come from
+*different machines*: raw wall-clock does not transfer across machines,
+dimensionless headline metrics do.
 
-``--ratios-only`` restricts the gate to the machine-independent metrics
-(ratios, speedups, overhead percentages).  Use it whenever baseline and
-candidate trajectories come from *different machines* — scheduled CI
-regenerates on a shared hosted runner whose raw wall-clock routinely
-differs from the committing machine's by more than any sane budget, while
-the dimensionless headline metrics transfer.  Same-machine comparisons
-(local before/after runs) should gate everything.
+Wall-clock performance of the functional engine is measured by
+``python -m e2e_bench compare --pairs N``, not by this gate.
 
 Usage::
 
     python benchmarks/check_trajectory.py --baseline <dir> --candidate <dir>
 
-Exit status: 0 = no regression, 1 = regression (or a baseline trajectory
+Exit status: 0 = no regression, 1 = regression (or a baseline table
 missing from the candidate side), 2 = usage error.
 """
 
@@ -59,7 +41,7 @@ import json
 import sys
 from pathlib import Path
 from statistics import median
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: metric name → (value, direction); direction is "lower" or "higher".
 Metrics = Dict[str, Tuple[float, str]]
@@ -70,49 +52,24 @@ _GROUP_KEYS = ("mode", "codec", "engine")
 _VALUE_KEYS = ("step_s", "update_s")
 #: Time-like metrics below this many seconds are noise, not signal.
 DEFAULT_FLOOR_SECONDS = 0.005
-#: Trajectory payload families the directory comparison gates.
-TRAJECTORY_GLOBS = ("BENCH_*.json", "SWEEP_*.json")
-
-
-def _trajectory_rows(payload: dict) -> List[dict]:
-    series = payload.get("series")
-    if isinstance(series, dict) and isinstance(series.get("trajectory"), list):
-        return [row for row in series["trajectory"] if isinstance(row, dict)]
-    if isinstance(payload.get("trajectory"), list):  # pre-PR-4 payload shape
-        return [row for row in payload["trajectory"] if isinstance(row, dict)]
-    return []
+#: Result-table files the directory comparison gates.
+TRAJECTORY_GLOB = "SWEEP_*.json"
 
 
 def extract_metrics(payload: dict) -> Metrics:
-    """Headline metrics of one ``BENCH_*.json`` payload."""
+    """Headline metrics of one ``SWEEP_*.json`` payload."""
     metrics: Metrics = {}
-    # Dimensionless higher-is-better scalars: "speedup", "restore_speedup",
-    # "compression_ratio", ... — match by suffix so every benchmark's
-    # headline ratio is gated without a per-file list.
     for name, value in sorted(payload.items()):
         if isinstance(value, (int, float)) and not isinstance(value, bool) and (
             name.endswith("speedup") or name.endswith("ratio")
         ):
             metrics[name] = (float(value), "higher")
-    restore = payload.get("restore_latency_s")
-    if isinstance(restore, dict) and restore:
-        values = [float(v) for v in restore.values() if isinstance(v, (int, float))]
-        if values:
-            metrics["restore_latency_s:median"] = (median(values), "lower")
-    # Percentage mappings ("overhead_pct", "overhead_vs_raw_pct", ...):
-    # lower is better, compared in absolute points.
-    for name, value in sorted(payload.items()):
-        if isinstance(value, dict) and name.endswith("_pct"):
-            for mode, pct in sorted(value.items()):
-                if isinstance(pct, (int, float)):
-                    metrics[f"{name}:{mode}"] = (float(pct), "lower-pct")
-    mean_update = payload.get("mean_update_s")
-    if isinstance(mean_update, dict):
-        for mode, value in sorted(mean_update.items()):
-            if isinstance(value, (int, float)):
-                metrics[f"mean_update_s:{mode}"] = (float(value), "lower")
+    series = payload.get("series")
+    rows = series.get("trajectory") if isinstance(series, dict) else None
     by_group: Dict[str, List[float]] = {}
-    for row in _trajectory_rows(payload):
+    for row in rows if isinstance(rows, list) else []:
+        if not isinstance(row, dict):
+            continue
         group = next((str(row[k]) for k in _GROUP_KEYS if k in row), "all")
         value = next(
             (row[k] for k in _VALUE_KEYS if isinstance(row.get(k), (int, float))), None
@@ -124,23 +81,6 @@ def extract_metrics(payload: dict) -> Metrics:
     return metrics
 
 
-def extract_noise_points(payload: dict) -> Dict[str, float]:
-    """The payload's declared per-metric measurement noise (absolute points).
-
-    Only meaningful on the *baseline* side: the committed payload declares
-    how noisy its own comparison is, widening that metric's budget for
-    every future candidate.
-    """
-    declared = payload.get("noise_points")
-    if not isinstance(declared, dict):
-        return {}
-    return {
-        str(name): float(value)
-        for name, value in declared.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
-
-
 def compare_metrics(
     baseline: Metrics,
     candidate: Metrics,
@@ -148,22 +88,16 @@ def compare_metrics(
     threshold: float = 0.25,
     floor_seconds: float = DEFAULT_FLOOR_SECONDS,
     ratios_only: bool = False,
-    baseline_noise_points: "Optional[Mapping[str, float]]" = None,
 ) -> List[str]:
     """Regressions of ``candidate`` against ``baseline`` (empty = clean).
 
     A lower-is-better metric regresses when it grew by more than
     ``threshold`` (relative); higher-is-better when it shrank by more than
-    ``threshold``; a percentage metric when it grew by more than
-    ``threshold * 100`` absolute points, plus that metric's
-    ``baseline_noise_points`` entry when the baseline payload declared
-    measured run-to-run noise.  A metric missing on the candidate
-    side is a regression (the benchmark stopped reporting it); new
-    candidate-only metrics are fine — the next baseline refresh picks them
-    up.  ``ratios_only`` drops raw-duration metrics, keeping only the
+    ``threshold``.  A metric missing on the candidate side is a regression
+    (the sweep stopped reporting it); new candidate-only metrics are fine.
+    ``ratios_only`` drops the raw-duration metrics, keeping only the
     machine-independent ones (for cross-machine comparisons).
     """
-    noise_points = dict(baseline_noise_points or {})
     problems: List[str] = []
     for name, (base_value, direction) in sorted(baseline.items()):
         if ratios_only and direction == "lower":
@@ -172,17 +106,6 @@ def compare_metrics(
             problems.append(f"{name}: missing from candidate (baseline {base_value:.6g})")
             continue
         cand_value = candidate[name][0]
-        if direction == "lower-pct":
-            # Percentages compare in absolute points — a ratio of two
-            # near-zero overheads amplifies noise into false regressions.
-            # The baseline's declared measurement noise widens the budget.
-            budget_points = threshold * 100.0 + noise_points.get(name, 0.0)
-            if cand_value > base_value + budget_points:
-                problems.append(
-                    f"{name}: {base_value:.4g}% -> {cand_value:.4g}% "
-                    f"(budget +{budget_points:.0f} points)"
-                )
-            continue
         if base_value <= 0:
             continue  # degenerate baseline; nothing meaningful to compare
         if direction == "lower":
@@ -197,13 +120,12 @@ def compare_metrics(
                     f"(+{(cand_value / base_value - 1.0) * 100.0:.1f}%, "
                     f"budget +{threshold * 100.0:.0f}%)"
                 )
-        else:
-            if cand_value < base_value / (1.0 + threshold):
-                problems.append(
-                    f"{name}: {base_value:.6g} -> {cand_value:.6g} "
-                    f"(-{(1.0 - cand_value / base_value) * 100.0:.1f}%, "
-                    f"budget -{threshold * 100.0:.0f}%)"
-                )
+        elif cand_value < base_value / (1.0 + threshold):
+            problems.append(
+                f"{name}: {base_value:.6g} -> {cand_value:.6g} "
+                f"(-{(1.0 - cand_value / base_value) * 100.0:.1f}%, "
+                f"budget -{threshold * 100.0:.0f}%)"
+            )
     return problems
 
 
@@ -215,25 +137,23 @@ def compare_directories(
     floor_seconds: float = DEFAULT_FLOOR_SECONDS,
     ratios_only: bool = False,
 ) -> Tuple[List[str], List[str]]:
-    """Compare every ``BENCH_*.json``/``SWEEP_*.json`` of ``baseline_dir``."""
+    """Compare every ``SWEEP_*.json`` of ``baseline_dir`` with its candidate."""
     problems: List[str] = []
     checked: List[str] = []
-    baselines = sorted(
-        path for pattern in TRAJECTORY_GLOBS for path in baseline_dir.glob(pattern)
-    )
+    baselines = sorted(baseline_dir.glob(TRAJECTORY_GLOB))
     if not baselines:
-        problems.append(f"no {'/'.join(TRAJECTORY_GLOBS)} baselines in {baseline_dir}")
+        problems.append(f"no {TRAJECTORY_GLOB} baselines in {baseline_dir}")
         return problems, checked
     for path in baselines:
         candidate_path = candidate_dir / path.name
         if not candidate_path.is_file():
-            problems.append(f"{path.name}: candidate trajectory was not produced")
+            problems.append(f"{path.name}: candidate table was not produced")
             continue
         try:
             base_payload = json.loads(path.read_text(encoding="utf-8"))
             cand_payload = json.loads(candidate_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{path.name}: unreadable trajectory ({exc})")
+            problems.append(f"{path.name}: unreadable table ({exc})")
             continue
         for problem in compare_metrics(
             extract_metrics(base_payload),
@@ -241,7 +161,6 @@ def compare_directories(
             threshold=threshold,
             floor_seconds=floor_seconds,
             ratios_only=ratios_only,
-            baseline_noise_points=extract_noise_points(base_payload),
         ):
             problems.append(f"{path.name}: {problem}")
         checked.append(path.name)
@@ -252,11 +171,11 @@ def main(argv: "Iterable[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--baseline", type=Path, required=True,
-        help="directory holding the committed BENCH_*.json trajectories",
+        help="directory holding the committed SWEEP_*.json tables",
     )
     parser.add_argument(
         "--candidate", type=Path, required=True,
-        help="directory holding the freshly produced BENCH_*.json trajectories",
+        help="directory holding the freshly produced SWEEP_*.json tables",
     )
     parser.add_argument(
         "--threshold", type=float, default=0.25,
@@ -268,8 +187,8 @@ def main(argv: "Iterable[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--ratios-only", action="store_true",
-        help="gate only machine-independent metrics (ratios/speedups/overhead "
-        "percentages) — use when baseline and candidate ran on different machines",
+        help="gate only machine-independent metrics (ratios/speedups) — use "
+        "when baseline and candidate ran on different machines",
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.threshold <= 0:
@@ -282,11 +201,11 @@ def main(argv: "Iterable[str] | None" = None) -> int:
     for name in checked:
         print(f"checked {name}")
     if problems:
-        print(f"\n{len(problems)} perf regression problem(s):", file=sys.stderr)
+        print(f"\n{len(problems)} regression problem(s):", file=sys.stderr)
         for problem in problems:
             print(f"  REGRESSION {problem}", file=sys.stderr)
         return 1
-    print(f"no perf regressions across {len(checked)} trajectory file(s)")
+    print(f"no regressions across {len(checked)} result table(s)")
     return 0
 
 

@@ -3,15 +3,15 @@
 Each function runs the relevant simulator sweep (or microbenchmark) and
 returns an :class:`~repro.bench.harness.ExperimentResult` whose rows carry
 the same series the paper plots.  The benchmark files under ``benchmarks/``
-call these functions, print the rows and assert the qualitative shape; see
-``EXPERIMENTS.md`` for the paper-vs-measured record of each one.
+call these functions, print the rows and assert the qualitative shape.
+Wall-clock measurements of the functional engine live in ``e2e_bench``.
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -422,1524 +422,6 @@ def fig15_ablation_multipath(
 
 
 # ---------------------------------------------------------------------------
-# Update-phase pipelining — sequential vs double-buffered prefetch/flush
-# ---------------------------------------------------------------------------
-
-def update_pipeline_comparison(
-    *,
-    total_params: int = 160_000,
-    subgroup_params: int = 20_000,
-    iterations: int = 3,
-    nvme_bw: float = 40e6,
-    pfs_bw: float = 25e6,
-    latency: float = 0.002,
-    prefetch_depth: int = 4,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Sequential vs pipelined update phase on a throttled-tier workload.
-
-    Runs the *functional* engine twice on identical inputs and storage
-    layouts — once with ``pipeline_update_phase`` off (the single-buffered
-    Algorithm-1 loop: one prefetch ahead, synchronous flushes) and once with
-    the windowed prefetch/flush pipeline — over file tiers throttled with
-    real sleeping (``simulate=False``).  Each tier's throttle serializes
-    concurrent transfers on a per-direction device timeline (``duplex=True``:
-    independent read and write channels, matching Table 1's separate
-    read/write bandwidth columns), so N parallel requests *share* the
-    configured bandwidth instead of multiplying it — the measured speedup is
-    genuine overlap (reads with writes, NVMe with PFS, I/O with compute),
-    not modelling artefact.  The host cache is disabled to put every
-    subgroup through the tier round-trip, the regime in which the paper
-    reports the update phase is ~99% I/O (Figure 3).
-
-    Emits one row per (engine, iteration) with the measured phase wall time,
-    summary rows with the mean wall times and their ratio (``speedup``), a
-    ``bitwise_identical`` correctness row, and the pipelined engine's
-    buffer-pool counters (hit rate ≈ 1 once warm ⇒ the steady-state I/O path
-    allocates nothing).
-    """
-    from repro.core.config import MLPOffloadConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="update-pipeline",
-        description="Sequential vs pipelined update phase (throttled tiers)",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-pipe-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2025)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(iterations)
-    ]
-
-    def run(label: str, pipelined: bool):
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_bw, write_bw=nvme_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_bw, write_bw=pfs_bw),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=0.0,
-            adam=AdamConfig(lr=1e-3),
-            pipeline_update_phase=pipelined,
-            prefetch_depth=prefetch_depth,
-        )
-        throttles = {
-            "nvme": BandwidthThrottle(nvme_bw, simulate=False, latency=latency, duplex=True),
-            "pfs": BandwidthThrottle(pfs_bw, simulate=False, latency=latency, duplex=True),
-        }
-        phase_seconds = []
-        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
-            engine.initialize(initial.copy())
-            fp16 = initial.astype(np.float16)
-            for grad in grads:
-                for index, view in views.items():
-                    engine.on_backward_gradient(index, grad[view].astype(np.float16))
-                engine.on_microbatch_complete()
-                report = engine.run_update(fp16)
-                phase_seconds.append(report.stats.wall_seconds)
-            master = engine.fetch_master_params()
-            pool_stats = engine.pool.stats
-        return fp16, master, phase_seconds, pool_stats
-
-    fp16_seq, master_seq, seconds_seq, _ = run("sequential", pipelined=False)
-    fp16_pipe, master_pipe, seconds_pipe, pool_stats = run("pipelined", pipelined=True)
-
-    for iteration, (seq_s, pipe_s) in enumerate(zip(seconds_seq, seconds_pipe)):
-        result.add_row(series="trajectory", engine="sequential", iteration=iteration, update_s=seq_s)
-        result.add_row(series="trajectory", engine="pipelined", iteration=iteration, update_s=pipe_s)
-
-    mean_seq = float(np.mean(seconds_seq))
-    mean_pipe = float(np.mean(seconds_pipe))
-    speedup = mean_seq / mean_pipe if mean_pipe > 0 else float("inf")
-    bitwise = bool(
-        np.array_equal(fp16_seq, fp16_pipe) and np.array_equal(master_seq, master_pipe)
-    )
-    result.add_row(series="summary", engine="sequential", mean_update_s=mean_seq)
-    result.add_row(series="summary", engine="pipelined", mean_update_s=mean_pipe)
-    result.add_row(series="summary", engine="speedup", value=speedup)
-    result.add_row(series="check", bitwise_identical=bitwise)
-    result.add_row(
-        series="pool",
-        hits=pool_stats.hits,
-        misses=pool_stats.misses,
-        hit_rate=pool_stats.hit_rate,
-    )
-    result.add_note(
-        f"pipelined update phase is {speedup:.2f}x faster than sequential "
-        f"({mean_pipe * 1e3:.0f} ms vs {mean_seq * 1e3:.0f} ms per phase)"
-    )
-    result.add_note(
-        "paper §3.2: overlapping tier I/O with the CPU Adam compute recovers most "
-        "of the throughput the synchronous baseline loses to the storage tiers"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Striped multi-path reads — single-path vs striped subgroup fetches
-# ---------------------------------------------------------------------------
-
-def striped_read_comparison(
-    *,
-    total_params: int = 480_000,
-    subgroup_params: int = 40_000,
-    iterations: int = 9,
-    nvme_read_bw: float = 40e6,
-    pfs_read_bw: float = 25e6,
-    write_bw: float = 160e6,
-    latency: float = 0.0005,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Single-path vs striped multi-path subgroup reads on throttled dual tiers.
-
-    Runs the *functional* engine twice on identical inputs — once with
-    ``stripe.enabled`` off (every field lives whole on its placed tier,
-    so each fetch streams from exactly one path while the other sits idle)
-    and once with striping on (each large field is split across NVMe and PFS
-    proportionally to their bandwidth and fetched from both paths
-    *simultaneously* via ``read_into_multi``).  Both runs use the
-    single-buffered sequential update loop, the regime in which per-fetch
-    latency sits on the critical path (the windowed pipeline already hides
-    fetch latency *across* subgroups; striping attacks the latency of each
-    individual fetch, which is what remains).
-
-    The tiers are throttled with real sleeping (``simulate=False``) on
-    per-direction device timelines, with asymmetric rates: reads at the
-    configured NVMe/PFS speeds, writes much faster — making the update phase
-    read-bound so the measured difference isolates the read path.  Concurrent
-    transfers on one path *share* that path's bandwidth (the throttle
-    serializes them on its device timeline), so the striped run's gain is
-    genuine multi-path aggregation, not modelling artefact.
-
-    Emits one row per (engine, iteration) with measured phase wall times,
-    summary rows (mean wall times, ``speedup``, aggregate fetch bandwidth), a
-    ``bitwise_identical`` correctness row comparing FP16 working params and
-    FP32 master state across the two runs, and per-path byte-accounting rows
-    showing both paths pulling their bandwidth-proportional share of every
-    striped fetch.
-    """
-    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="striped-reads",
-        description="Single-path vs striped multi-path subgroup reads (throttled tiers)",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-stripe-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2026)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(iterations)
-    ]
-    field_bytes = subgroup_params * 4  # one FP32 state field
-
-    def run(label: str, striped: bool):
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_read_bw, write_bw=write_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_read_bw, write_bw=write_bw),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=0.0,
-            adam=AdamConfig(lr=1e-3),
-            pipeline_update_phase=False,
-            stripe=StripeConfig(enabled=striped, threshold_bytes=float(field_bytes // 2)),
-        )
-        throttles = {
-            "nvme": BandwidthThrottle(
-                nvme_read_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-            "pfs": BandwidthThrottle(
-                pfs_read_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-        }
-        phase_seconds = []
-        fetch_bytes = fetch_seconds = 0.0
-        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
-            engine.initialize(initial.copy())
-            fp16 = initial.astype(np.float16)
-            for grad in grads:
-                for index, view in views.items():
-                    engine.on_backward_gradient(index, grad[view].astype(np.float16))
-                engine.on_microbatch_complete()
-                report = engine.run_update(fp16)
-                phase_seconds.append(report.stats.wall_seconds)
-                fetch_bytes += report.stats.fetch_bytes
-                fetch_seconds += report.stats.fetch_seconds
-            master = engine.fetch_master_params()
-            per_path = {
-                name: engine.tier.engine.tier_stats(name) for name in engine.tier.tier_names
-            }
-        fetch_bw = fetch_bytes / fetch_seconds if fetch_seconds > 0 else 0.0
-        return fp16, master, phase_seconds, fetch_bw, per_path
-
-    fp16_single, master_single, seconds_single, bw_single, paths_single = run(
-        "single-path", striped=False
-    )
-    fp16_striped, master_striped, seconds_striped, bw_striped, paths_striped = run(
-        "striped", striped=True
-    )
-
-    for iteration, (single_s, striped_s) in enumerate(zip(seconds_single, seconds_striped)):
-        result.add_row(
-            series="trajectory", engine="single-path", iteration=iteration, update_s=single_s
-        )
-        result.add_row(
-            series="trajectory", engine="striped", iteration=iteration, update_s=striped_s
-        )
-
-    mean_single = float(np.mean(seconds_single))
-    mean_striped = float(np.mean(seconds_striped))
-    # The headline speedup is a ratio of per-iteration *medians*: these runs
-    # sleep for real on throttled tiers, so a single descheduled iteration
-    # shifts a mean-of-3 ratio by more than the perf gate's regression
-    # budget, while the median over a longer run is unmoved by one outlier.
-    median_single = float(np.median(seconds_single))
-    median_striped = float(np.median(seconds_striped))
-    speedup = median_single / median_striped if median_striped > 0 else float("inf")
-    bitwise = bool(
-        np.array_equal(fp16_single, fp16_striped)
-        and np.array_equal(master_single, master_striped)
-    )
-    result.add_row(
-        series="summary", engine="single-path",
-        mean_update_s=mean_single, median_update_s=median_single,
-    )
-    result.add_row(
-        series="summary", engine="striped",
-        mean_update_s=mean_striped, median_update_s=median_striped,
-    )
-    result.add_row(series="summary", engine="speedup", value=speedup)
-    result.add_row(
-        series="summary", engine="fetch_bandwidth", single_path=bw_single, striped=bw_striped
-    )
-    result.add_row(series="check", bitwise_identical=bitwise)
-    for label, paths in (("single-path", paths_single), ("striped", paths_striped)):
-        for name, stats in paths.items():
-            result.add_row(
-                series="path_bytes",
-                engine=label,
-                tier=name,
-                bytes_read=stats.bytes_read,
-                bytes_written=stats.bytes_written,
-                read_ops=stats.read_ops,
-                write_ops=stats.write_ops,
-            )
-    result.add_note(
-        f"striped multi-path reads are {speedup:.2f}x faster per update phase "
-        f"(median of {iterations} iterations: {median_striped * 1e3:.0f} ms vs "
-        f"{median_single * 1e3:.0f} ms); aggregate fetch "
-        f"bandwidth {bw_striped / 1e6:.1f} MB/s vs {bw_single / 1e6:.1f} MB/s single-path "
-        "(fetch bytes over *exposed* fetch wait — prefetch overlap already hides part "
-        "of the single-buffered loop's read time)"
-    )
-    result.add_note(
-        "paper §3.2/§3.3: the aggregate bandwidth of all tiers — not any single "
-        "device — bounds the offloaded update phase; striping each field across "
-        "NVMe+PFS keeps both paths busy during every fetch"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint overhead — no checkpoint vs sync stall vs async overlap
-# ---------------------------------------------------------------------------
-
-def checkpoint_overhead_comparison(
-    *,
-    total_params: int = 160_000,
-    subgroup_params: int = 20_000,
-    # 10 samples keep the median stable against container scheduler jitter
-    # (the crash-safe striped flush adds per-field manifest commits to every
-    # mode's step, which tightened the timeline slack noise hides in).
-    iterations: int = 10,
-    nvme_bw: float = 10e6,
-    pfs_bw: float = 7e6,
-    write_bw: float = 30e6,
-    latency: float = 0.002,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Per-step cost of checkpointing: none vs sync stall vs async overlap.
-
-    Runs the functional engine on identical inputs over real-sleeping
-    throttled tiers (per-direction device timelines, so checkpoint traffic
-    and training I/O genuinely contend for each path's bandwidth) in four
-    modes:
-
-    * ``none`` — no checkpointing (the step-time baseline);
-    * ``sync-full`` — classic copy-out checkpoint every iteration
-      (``checkpoint_link_tier_blobs`` off): every subgroup is read back from
-      its tier and re-written synchronously — the conventional stall;
-    * ``sync-lazy`` — the lazy snapshot (links + dirty residue) but with a
-      synchronous wait for the commit;
-    * ``async`` — the full design: links taken at the boundary, staged blobs
-      drained concurrently with the next iteration.
-
-    The step time includes gradient delivery, the update phase and whatever
-    checkpoint stall the mode incurs (the async run's final drain is waited
-    inside the timed loop, so its tail is not hidden).  After the async run,
-    *every* committed version is restored into a fresh engine and compared
-    bitwise against the state recorded when that version was taken — the
-    restart-correctness half of the checkpoint contract.
-
-    Emits per-mode mean step times, overhead percentages over the baseline,
-    blob-accounting rows (linked vs staged vs reused), and a
-    ``restart_bitwise`` check row.
-    """
-    import time
-
-    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="checkpoint-overhead",
-        description="Checkpoint cost per training step: none vs sync stall vs async overlap",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-ckpt-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2027)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(iterations)
-    ]
-
-    def run(
-        label: str,
-        *,
-        checkpoint: bool,
-        link: bool = True,
-        wait: bool = False,
-        record_versions: bool = False,
-    ):
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_bw, write_bw=write_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_bw, write_bw=write_bw),
-            ),
-            subgroup_size=subgroup_params,
-            # One subgroup of dirty residue stays in the host cache — the
-            # bytes a lazy snapshot actually has to stage (at scale the
-            # residue is a small fraction of the tier-resident state).
-            host_cache_bytes=float(subgroup_params * 12),
-            adam=AdamConfig(lr=1e-3),
-            checkpoint_dir=str(root / "ckpt") if checkpoint else None,
-            checkpoint_link_tier_blobs=link,
-            checkpoint_retention=iterations,  # keep every version restorable
-            stripe=StripeConfig(threshold_bytes=float(subgroup_params)),  # stripe ckpt blobs
-            # This experiment isolates the async-overlap-vs-sync-stall axis;
-            # staged blobs stay raw so the drain thread's codec CPU does not
-            # blur it (``checkpoint_compression_comparison`` measures the
-            # codec's step cost against this raw async writer).
-            checkpoint_codec="raw",
-        )
-        throttles = {
-            "nvme": BandwidthThrottle(
-                nvme_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-            "pfs": BandwidthThrottle(
-                pfs_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-        }
-        step_seconds = []
-        versions: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
-            engine.initialize(initial.copy())
-            fp16 = initial.astype(np.float16)
-            for index, grad in enumerate(grads):
-                step_start = time.perf_counter()
-                for sg_index, view in views.items():
-                    engine.on_backward_gradient(sg_index, grad[view].astype(np.float16))
-                engine.on_microbatch_complete()
-                engine.run_update(fp16)
-                if checkpoint:
-                    version = engine.save_checkpoint(fp16, wait=wait)
-                    if index == len(grads) - 1:
-                        engine.checkpoint_wait()  # pay the async tail in-loop
-                step_seconds.append(time.perf_counter() - step_start)
-                if checkpoint and record_versions:
-                    # Only in a *synchronous* mode: between-step instrumentation
-                    # reads here would hand an in-flight async drain untimed
-                    # progress and bias the async overhead low.
-                    versions[version] = (fp16.copy(), engine.fetch_master_params())
-            master = engine.fetch_master_params()
-            writer_stats = None
-            if checkpoint:
-                writer = engine.checkpointer
-                writer_stats = dict(
-                    linked_blobs=writer.linked_blobs,
-                    linked_bytes=writer.linked_bytes,
-                    staged_blobs=writer.staged_blobs,
-                    staged_bytes=writer.staged_bytes,
-                    staged_stored_bytes=writer.staged_stored_bytes,
-                    reused_blobs=writer.reused_blobs,
-                )
-        return fp16, master, step_seconds, versions, writer_stats, config
-
-    fp16_none, master_none, steps_none, _, _, _ = run("none", checkpoint=False)
-    fp16_full, master_full, steps_full, _, stats_full, _ = run(
-        "sync-full", checkpoint=True, link=False, wait=True
-    )
-    # The sync-lazy run records each version's expected state (its trajectory
-    # is asserted bitwise-identical to the async run's below, and with the
-    # synchronous wait there is no drain to perturb between steps).
-    fp16_lazy, master_lazy, steps_lazy, versions, stats_lazy, _ = run(
-        "sync-lazy", checkpoint=True, link=True, wait=True, record_versions=True
-    )
-    fp16_async, master_async, steps_async, _, stats_async, async_config = run(
-        "async", checkpoint=True, link=True, wait=False
-    )
-
-    all_steps = {
-        "none": steps_none,
-        "sync-full": steps_full,
-        "sync-lazy": steps_lazy,
-        "async": steps_async,
-    }
-    means = {mode: float(np.mean(steps)) for mode, steps in all_steps.items()}
-    # The steady-state per-step cost: the median is robust to the container's
-    # occasional scheduler hiccups (tens of ms on an otherwise deterministic
-    # throttled step) and to the async run's one-time final-drain tail, both
-    # of which the mean and trajectory rows still expose.
-    medians = {mode: float(np.median(steps)) for mode, steps in all_steps.items()}
-    overheads = {
-        mode: (medians[mode] / medians["none"] - 1.0) * 100.0
-        for mode in medians
-        if mode != "none"
-    }
-
-    # Checkpointing must not perturb training itself.
-    results_identical = all(
-        np.array_equal(fp16_none, fp16_mode) and np.array_equal(master_none, master_mode)
-        for fp16_mode, master_mode in (
-            (fp16_full, master_full),
-            (fp16_lazy, master_lazy),
-            (fp16_async, master_async),
-        )
-    )
-
-    # Restart every committed version of the async run and compare bitwise
-    # (expected states come from the sync-lazy run's identical trajectory).
-    restart_bitwise = True
-    restore_rows = []
-    for version, (fp16_expected, master_expected) in sorted(versions.items()):
-        fresh = MLPOffloadEngine(async_config, layout, rank=0)
-        try:
-            restore_start = time.perf_counter()
-            restored = fresh.restore_checkpoint(version)
-            restore_seconds = time.perf_counter() - restore_start
-            restore_rows.append(
-                dict(
-                    version=version,
-                    mode=restored.mode,
-                    restore_s=restore_seconds,
-                    linked_subgroups=restored.linked_subgroups,
-                    lazy_subgroups=restored.lazy_subgroups,
-                )
-            )
-            master_restored = fresh.fetch_master_params()
-            if not (
-                np.array_equal(restored.fp16_params, fp16_expected)
-                and np.array_equal(master_restored, master_expected)
-            ):
-                restart_bitwise = False
-        finally:
-            fresh.close()
-
-    for mode, seconds in (
-        ("none", steps_none),
-        ("sync-full", steps_full),
-        ("sync-lazy", steps_lazy),
-        ("async", steps_async),
-    ):
-        for iteration, step_s in enumerate(seconds):
-            result.add_row(series="trajectory", mode=mode, iteration=iteration, step_s=step_s)
-    for mode in all_steps:
-        result.add_row(
-            series="summary",
-            mode=mode,
-            mean_step_s=means[mode],
-            median_step_s=medians[mode],
-            overhead_pct=overheads.get(mode, 0.0),
-        )
-    for mode, stats in (
-        ("sync-full", stats_full),
-        ("sync-lazy", stats_lazy),
-        ("async", stats_async),
-    ):
-        result.add_row(series="blobs", mode=mode, **stats)
-    for row in restore_rows:
-        result.add_row(series="restore", **row)
-    result.add_row(
-        series="check",
-        results_identical=results_identical,
-        restart_bitwise=restart_bitwise,
-        versions_restored=len(versions),
-    )
-    result.add_note(
-        f"async checkpointing adds {overheads['async']:.1f}% to the median step "
-        f"(sync-lazy {overheads['sync-lazy']:.1f}%, classic copy-out "
-        f"{overheads['sync-full']:.1f}%)"
-    )
-    result.add_note(
-        "tier-resident subgroups are referenced by hard link (zero payload bytes); "
-        "only the dirty host-cached residue and the FP16 working copy are staged, "
-        "and their writes drain concurrently with the next iteration"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Multi-rank checkpoint coordination — global two-phase commit vs independent
-# ---------------------------------------------------------------------------
-
-def multirank_checkpoint_comparison(
-    *,
-    total_params: int = 160_000,
-    subgroup_params: int = 20_000,
-    ranks: int = 2,
-    iterations: int = 8,
-    nvme_bw: float = 10e6,
-    pfs_bw: float = 7e6,
-    write_bw: float = 30e6,
-    latency: float = 0.002,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Cost and crash-safety of the global two-phase checkpoint commit.
-
-    Drives ``ranks`` in-process data-parallel workers — one engine per rank,
-    sharing the tier lock manager, the per-path bandwidth throttles and the
-    checkpoint directory, each rank running its step on its own thread — in
-    two modes:
-
-    * ``uncoordinated`` — the PR 3/4 behaviour: every rank commits its
-      manifest independently (a crash can strand ranks on different
-      versions);
-    * ``coordinated`` — the two-phase protocol: drains publish *prepared*
-      manifests and a lock-file-elected rank promotes a version to a
-      ``GLOBAL-<v>.json`` commit record once every rank landed.
-
-    The headline number is the coordination overhead: the median two-rank
-    step time of the coordinated run over the uncoordinated one (the
-    protocol adds one rename per rank plus one global record write per
-    version, all on drain threads — it should stay well under 10%).
-
-    After the timed loop the coordinated run is driven through a **torn
-    commit** — one more iteration on every rank but only rank 0's drain
-    publishes, modelling ranks dying mid-checkpoint — and the job restarts:
-    every rank must resolve the newest *global* version (never the torn
-    one, never a mixed cut) and resume bitwise-identically, with the
-    per-rank restore latency recorded.
-    """
-    import concurrent.futures
-    import time
-
-    from repro.aio.locks import TierLockManager
-    from repro.ckpt.coordinator import CheckpointCoordinator
-    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="multirank-checkpoint",
-        description=(
-            "Global two-phase checkpoint commit across data-parallel ranks: "
-            "step overhead vs uncoordinated, torn-commit recovery"
-        ),
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-mrckpt-"))
-    layout = build_shard_layout(total_params, num_ranks=ranks, subgroup_size=subgroup_params)
-    views = [flat_views(None, layout, rank) for rank in range(ranks)]
-    rng = np.random.default_rng(2028)
-    initial = [
-        rng.standard_normal(layout.rank_params(rank)).astype(np.float32)
-        for rank in range(ranks)
-    ]
-    # One extra gradient set feeds the torn-commit iteration after the loop.
-    grads = [
-        [
-            rng.standard_normal(layout.rank_params(rank)).astype(np.float32) * 0.1
-            for rank in range(ranks)
-        ]
-        for _ in range(iterations + 1)
-    ]
-
-    def make_env(label: str, *, coordinated: bool):
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_bw, write_bw=write_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_bw, write_bw=write_bw),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=float(subgroup_params * 12),  # dirty residue per rank
-            adam=AdamConfig(lr=1e-3),
-            checkpoint_dir=str(root / "ckpt"),
-            checkpoint_coordination=coordinated,
-            checkpoint_retention=iterations,  # keep every version restorable
-            stripe=StripeConfig(threshold_bytes=float(subgroup_params)),
-            # Isolate the coordination axis: staged blobs stay raw so the
-            # drain codec's CPU cost does not blur the protocol's own cost.
-            checkpoint_codec="raw",
-        )
-        throttles = {
-            "nvme": BandwidthThrottle(
-                nvme_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-            "pfs": BandwidthThrottle(
-                pfs_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-        }
-        coordinator = None
-        if coordinated:
-            coordinator = CheckpointCoordinator(
-                config, workers=config.checkpoint_workers(ranks), throttles=throttles
-            )
-        manager = TierLockManager()
-        engines = [
-            MLPOffloadEngine(
-                config, layout, rank=rank, lock_manager=manager, throttles=throttles,
-                checkpoint_coordinator=coordinator,
-            )
-            for rank in range(ranks)
-        ]
-        return config, engines, coordinator
-
-    def rank_step(engine, rank: int, grads_of_iter, fp16) -> None:
-        for index, view in views[rank].items():
-            engine.on_backward_gradient(index, grads_of_iter[rank][view].astype(np.float16))
-        engine.on_microbatch_complete()
-        engine.run_update(fp16)
-        engine.save_checkpoint(fp16)
-
-    def run(label: str, *, coordinated: bool):
-        config, engines, coordinator = make_env(label, coordinated=coordinated)
-        step_seconds = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=ranks) as executor:
-            fp16s = [arr.astype(np.float16) for arr in initial]
-            for rank, engine in enumerate(engines):
-                engine.initialize(initial[rank].copy())
-            for index in range(iterations):
-                step_start = time.perf_counter()
-                futures = [
-                    executor.submit(rank_step, engine, rank, grads[index], fp16s[rank])
-                    for rank, engine in enumerate(engines)
-                ]
-                for future in futures:
-                    future.result()
-                if index == iterations - 1:
-                    for engine in engines:
-                        engine.checkpoint_wait()  # pay the async tail in-loop
-                step_seconds.append(time.perf_counter() - step_start)
-        states = [
-            (fp16s[rank].copy(), engine.fetch_master_params())
-            for rank, engine in enumerate(engines)
-        ]
-        return config, engines, coordinator, fp16s, states, step_seconds
-
-    _, engines_u, _, _, states_u, steps_u = run("uncoordinated", coordinated=False)
-    for engine in engines_u:
-        engine.close()
-    config_c, engines_c, coordinator, fp16s_c, states_c, steps_c = run(
-        "coordinated", coordinated=True
-    )
-    assert coordinator is not None
-    global_versions = coordinator.global_versions()
-
-    # -- torn commit: every rank steps once more, only rank 0 publishes ------
-    for rank, engine in enumerate(engines_c):
-        for index, view in views[rank].items():
-            engine.on_backward_gradient(
-                index, grads[iterations][rank][view].astype(np.float16)
-            )
-        engine.on_microbatch_complete()
-        engine.run_update(fp16s_c[rank])
-    engines_c[0].save_checkpoint(fp16s_c[0], wait=True)
-    torn_never_promoted = coordinator.global_versions()[-1] == global_versions[-1]
-    for engine in engines_c:
-        engine.close()
-
-    recovery_coordinator = CheckpointCoordinator(
-        config_c, workers=config_c.checkpoint_workers(ranks)
-    )
-    recovery_manager = TierLockManager()
-    restart_bitwise = True
-    restore_rows = []
-    recovery_start = time.perf_counter()
-    for rank in range(ranks):
-        fresh = MLPOffloadEngine(
-            config_c, layout, rank=rank, lock_manager=recovery_manager,
-            checkpoint_coordinator=recovery_coordinator,
-        )
-        try:
-            restore_start = time.perf_counter()
-            restored = fresh.restore_checkpoint()
-            restore_seconds = time.perf_counter() - restore_start
-            restore_rows.append(
-                dict(
-                    rank=rank,
-                    version=restored.version,
-                    global_version=restored.global_version,
-                    restore_s=restore_seconds,
-                    linked_subgroups=restored.linked_subgroups,
-                    lazy_subgroups=restored.lazy_subgroups,
-                )
-            )
-            if restored.global_version != global_versions[-1]:
-                restart_bitwise = False  # restored a torn or mixed cut
-            expected_fp16, expected_master = states_c[rank]
-            if not (
-                np.array_equal(restored.fp16_params, expected_fp16)
-                and np.array_equal(fresh.fetch_master_params(), expected_master)
-            ):
-                restart_bitwise = False
-        finally:
-            fresh.close()
-    torn_recovery_seconds = time.perf_counter() - recovery_start
-
-    medians = {
-        "uncoordinated": float(np.median(steps_u)),
-        "coordinated": float(np.median(steps_c)),
-    }
-    means = {
-        "uncoordinated": float(np.mean(steps_u)),
-        "coordinated": float(np.mean(steps_c)),
-    }
-    overhead_pct = (medians["coordinated"] / medians["uncoordinated"] - 1.0) * 100.0
-    results_identical = all(
-        np.array_equal(fu, fc) and np.array_equal(mu, mc)
-        for (fu, mu), (fc, mc) in zip(states_u, states_c)
-    )
-
-    for mode, seconds in (("uncoordinated", steps_u), ("coordinated", steps_c)):
-        for index, step_s in enumerate(seconds):
-            result.add_row(series="trajectory", mode=mode, iteration=index, step_s=step_s)
-    for mode in medians:
-        result.add_row(
-            series="summary",
-            mode=mode,
-            mean_step_s=means[mode],
-            median_step_s=medians[mode],
-            overhead_pct=overhead_pct if mode == "coordinated" else 0.0,
-        )
-    for row in restore_rows:
-        result.add_row(series="restore", **row)
-    result.add_row(
-        series="check",
-        results_identical=results_identical,
-        restart_bitwise=restart_bitwise,
-        torn_never_promoted=torn_never_promoted,
-        global_versions=len(global_versions),
-        torn_recovery_s=torn_recovery_seconds,
-    )
-    result.add_note(
-        f"global two-phase commit adds {overhead_pct:.1f}% to the median two-rank "
-        f"step ({len(global_versions)} global versions promoted); torn-commit "
-        f"restart resolved one consistent cut in {torn_recovery_seconds * 1e3:.0f} ms"
-    )
-    result.add_note(
-        "each rank's drain publishes a prepared manifest; whichever rank lands "
-        "last wins the GLOBAL.lock election, renames every rank's manifest and "
-        "writes the GLOBAL-<v>.json commit record — restart never sees a mixed cut"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Multi-process checkpoint ranks — real OS processes vs in-process threads
-# ---------------------------------------------------------------------------
-
-def multiproc_checkpoint_comparison(
-    *,
-    ranks: int = 3,
-    iterations: int = 4,
-    measure_repeats: int = 5,
-    total_params: int = 6_000,
-    subgroup_params: int = 500,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Real-process rank coordination: step overhead, kill recovery, elastic.
-
-    The multirank benchmark shares one coordinator *instance* across
-    threaded ranks; this one spawns a real OS process per rank
-    (``repro.ckpt.procrank``), so every protocol edge — lease files, the
-    ``GLOBAL.lock`` election, ``discard_torn`` — is exercised across
-    process boundaries.  Three measurements:
-
-    * **step overhead** — per-iteration wall time of the real-process world
-      (slowest rank per iteration, measured inside the workers) over the
-      threaded in-process world running the identical workload.  Each mode
-      runs ``measure_repeats`` independent waves, interleaved so both
-      modes sample the same machine-load epochs, and the headline
-      ``overhead_pct`` is the *median of the per-wave overheads* (each
-      wave's real-process median over its adjacent threaded wave's): a
-      single short wave's ratio swings by tens of percent between runs
-      (scheduler noise, cold caches) — wider than the perf gate's
-      regression budget — while the median over waves is reproducible.
-      The half-range of the per-wave overheads is reported as
-      ``noise_points`` so the trajectory gate can widen its budget by the
-      *measured* run-to-run noise of this comparison instead of flapping
-      on it.  Each wave's workload stays identical to the single-wave
-      form, so the recovery scenarios below keep their meaning;
-    * **kill recovery** — a rank is SIGKILLed at the post-publish boundary
-      and a fresh unarmed wave restarts: wall time from spawn to every
-      rank's clean exit, final state bitwise-equal to the uninterrupted
-      reference;
-    * **elastic restore** — the 3-rank job is killed the same way and
-      resumed **2-wide**: the survivors re-partition the cut's shards at
-      restore, same bitwise contract.
-    """
-    import concurrent.futures
-    import json
-    import time
-
-    from repro.aio.locks import TierLockManager
-    from repro.ckpt.coordinator import CheckpointCoordinator
-    from repro.ckpt.procrank import (
-        WorldSpec,
-        collect_results,
-        global_grad,
-        global_init,
-        leaked_sentinels,
-        make_config,
-        reference_state,
-        run_crash_scenario,
-        run_world,
-    )
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="multiproc-checkpoint",
-        description=(
-            "Checkpoint coordination across real OS worker processes: step "
-            "overhead vs threaded ranks, SIGKILL recovery, elastic restore"
-        ),
-    )
-    base = (
-        Path(workdir)
-        if workdir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-mpckpt-"))
-    )
-
-    def spec_for(label: str) -> WorldSpec:
-        return WorldSpec(
-            workdir=str(base / label),
-            world_size=ranks,
-            total_params=total_params,
-            subgroup_size=subgroup_params,
-            iterations=iterations,
-        )
-
-    ref_fp16, ref_master = reference_state(spec_for("reference"))
-    repeats = max(1, measure_repeats)
-
-    # -- threaded baseline: identical workload, ranks share one process ------
-    def run_threaded_wave(label: str):
-        spec = spec_for(label)
-        config = make_config(spec, ranks)
-        layout = build_shard_layout(
-            total_params, num_ranks=ranks, subgroup_size=subgroup_params
-        )
-        coordinator = CheckpointCoordinator(
-            config, workers=config.checkpoint_workers(ranks)
-        )
-        manager = TierLockManager()
-        engines = [
-            MLPOffloadEngine(
-                config, layout, rank=rank, lock_manager=manager,
-                checkpoint_coordinator=coordinator,
-            )
-            for rank in range(ranks)
-        ]
-        init = global_init(spec)
-        fp16s = []
-        for rank, engine in enumerate(engines):
-            start, stop = layout.rank_intervals[rank]
-            engine.initialize(init[start:stop].copy())
-            fp16s.append(init[start:stop].astype(np.float16))
-
-        def rank_step(rank: int, grad_global: np.ndarray) -> None:
-            engine = engines[rank]
-            start, stop = layout.rank_intervals[rank]
-            local = grad_global[start:stop]
-            for index, view in flat_views(None, layout, rank).items():
-                engine.on_backward_gradient(index, local[view].astype(np.float16))
-            engine.on_microbatch_complete()
-            engine.run_update(fp16s[rank])
-            engine.save_checkpoint(fp16s[rank], wait=True)
-
-        steps = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=ranks) as executor:
-            for it in range(iterations):
-                grad = global_grad(spec, it)
-                t0 = time.perf_counter()
-                for future in [
-                    executor.submit(rank_step, rank, grad) for rank in range(ranks)
-                ]:
-                    future.result()
-                steps.append(time.perf_counter() - t0)
-        fp16 = np.concatenate(fp16s)
-        master = np.concatenate([engine.fetch_master_params() for engine in engines])
-        for engine in engines:
-            engine.close()
-        return steps, fp16, master
-
-    # -- real processes: one OS process per rank over the same workload ------
-    def run_real_wave(label: str):
-        spec = spec_for(label)
-        codes = run_world(spec, ranks, tag="initial")
-        assert codes == [0] * ranks, f"real-process wave failed: exit codes {codes}"
-        per_rank_steps = []
-        for rank in range(ranks):
-            timings = json.loads(
-                (spec.base / f"timings-rank{rank}-initial.json").read_text()
-            )
-            per_rank_steps.append(timings["step_seconds"])
-        # The job's step time is its slowest rank's — that is what a collective
-        # barrier at the iteration boundary would make every rank pay.
-        steps = [
-            max(per_rank_steps[rank][it] for rank in range(ranks))
-            for it in range(iterations)
-        ]
-        fp16, master = collect_results(spec, ranks)
-        return steps, fp16, master
-
-    threaded_waves: List[List[float]] = []
-    real_waves: List[List[float]] = []
-    threaded_identical = real_identical = True
-    for repeat in range(repeats):
-        steps, fp16, master = run_threaded_wave(f"threaded-r{repeat}")
-        threaded_waves.append(steps)
-        threaded_identical = bool(
-            threaded_identical
-            and np.array_equal(fp16, ref_fp16)
-            and np.array_equal(master, ref_master)
-        )
-        steps, fp16, master = run_real_wave(f"real-r{repeat}")
-        real_waves.append(steps)
-        real_identical = bool(
-            real_identical
-            and np.array_equal(fp16, ref_fp16)
-            and np.array_equal(master, ref_master)
-        )
-    threaded_steps = [step for wave in threaded_waves for step in wave]
-    real_steps = [step for wave in real_waves for step in wave]
-
-    # -- kill recovery: SIGKILL one rank post-publish, resume same-width -----
-    spec = spec_for("kill")
-    kill = run_crash_scenario(spec, phase="post-publish", victim=1, version=2)
-    kill_bitwise = np.array_equal(kill["fp16"], ref_fp16) and np.array_equal(
-        kill["master"], ref_master
-    )
-    kill_clean = leaked_sentinels(spec) == []
-
-    # -- elastic: same crash, but the resume wave is 2-wide ------------------
-    spec = spec_for("elastic")
-    elastic = run_crash_scenario(
-        spec, phase="post-publish", victim=0, version=2, resume_world_size=2
-    )
-    elastic_bitwise = np.array_equal(elastic["fp16"], ref_fp16) and np.array_equal(
-        elastic["master"], ref_master
-    )
-    elastic_clean = leaked_sentinels(spec) == []
-
-    medians = {
-        "threaded": float(np.median(threaded_steps)),
-        "real_process": float(np.median(real_steps)),
-    }
-    # Headline overhead: median of the per-wave ratios.  Pairing each real
-    # wave with the threaded wave that ran right before it compares samples
-    # from the same machine-load epoch, and the median across waves is
-    # robust to the one wave that lands on a noisy epoch.
-    per_wave_overhead = [
-        (float(np.median(real)) / float(np.median(threaded)) - 1.0) * 100.0
-        for threaded, real in zip(threaded_waves, real_waves)
-    ]
-    overhead_pct = float(np.median(per_wave_overhead))
-    # Measured run-to-run noise of this comparison, floored: with a handful
-    # of waves the observed half-range underestimates the tails.
-    spread = (max(per_wave_overhead) - min(per_wave_overhead)) / 2.0
-    overhead_noise_points = max(20.0, spread)
-
-    for mode, waves in (("threaded", threaded_waves), ("real_process", real_waves)):
-        for repeat, wave in enumerate(waves):
-            for index, step_s in enumerate(wave):
-                result.add_row(
-                    series="trajectory", mode=mode, repeat=repeat,
-                    iteration=index, step_s=step_s,
-                )
-        pooled = [step for wave in waves for step in wave]
-        row = dict(
-            series="summary",
-            mode=mode,
-            mean_step_s=float(np.mean(pooled)),
-            median_step_s=medians[mode],
-            repeats=len(waves),
-            overhead_pct=overhead_pct if mode == "real_process" else 0.0,
-        )
-        if mode == "real_process":
-            row["per_wave_overhead_pct"] = per_wave_overhead
-            row["overhead_noise_points"] = overhead_noise_points
-        result.add_row(**row)
-    result.add_row(
-        series="recovery", scenario="kill_recovery",
-        world_from=ranks, world_to=ranks,
-        recovery_s=kill["recovery_seconds"], bitwise=kill_bitwise,
-    )
-    result.add_row(
-        series="recovery", scenario="elastic",
-        world_from=ranks, world_to=2,
-        recovery_s=elastic["recovery_seconds"], bitwise=elastic_bitwise,
-    )
-    result.add_row(
-        series="check",
-        threaded_identical=threaded_identical,
-        real_identical=real_identical,
-        kill_bitwise=kill_bitwise,
-        elastic_bitwise=elastic_bitwise,
-        no_leaked_sentinels=kill_clean and elastic_clean,
-    )
-    result.add_note(
-        f"real OS processes add {overhead_pct:.1f}% to the median {ranks}-rank "
-        f"step over threaded ranks (median of {repeats} interleaved per-wave "
-        f"ratios, {iterations} iterations per wave, measured noise "
-        f"±{overhead_noise_points:.0f} points); SIGKILL recovery took "
-        f"{kill['recovery_seconds']:.2f}s same-width and "
-        f"{elastic['recovery_seconds']:.2f}s resuming {ranks}->2 elastically"
-    )
-    result.add_note(
-        "every coordination edge crosses a process boundary here: drain-intent "
-        "leases, the GLOBAL.lock election, discard_torn and the blob sweep see "
-        "foreign pids, not threads"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint compression + streaming restore — raw vs codecs, eager vs lazy
-# ---------------------------------------------------------------------------
-
-def checkpoint_compression_comparison(
-    *,
-    total_params: int = 480_000,
-    subgroup_params: int = 20_000,
-    iterations: int = 4,
-    gradient_density: float = 0.02,
-    dirty_subgroups: int = 12,
-    clean_run_dirty_subgroups: int = 2,
-    nvme_bw: float = 12e6,
-    pfs_bw: float = 8e6,
-    write_bw: float = 40e6,
-    latency: float = 0.002,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Checkpoint bytes and restart latency: codecs × restore modes.
-
-    The standard workload is a mixed-precision training shard with the
-    structure real checkpoints have: the FP32 master state is seeded from
-    the FP16 working copy (so untouched masters keep zeroed low-mantissa
-    bytes), and gradients are *sparse* — a fixed ``gradient_density``
-    fraction of positions ever receives a gradient, the embedding-rows /
-    frozen-parameters regime — so most Adam moments are exact zeros and most
-    masters never leave their quantized values.  ``dirty_subgroups`` bounds
-    the host cache, fixing how much residue each snapshot stages.  Fields
-    are stored whole (no striping — the striping benches cover that axis),
-    so hard-link restores are pure metadata operations.
-
-    Three identical training runs differ only in ``checkpoint_codec``:
-
-    * ``raw`` — staged blobs stored as plain tier blobs (PR 3's writer);
-    * ``null`` — chunked frames with identity chunks (framing-cost ablation);
-    * ``shuffle-deflate`` — byte-shuffle + LZ4-class block compression.
-
-    Every run checkpoints every iteration (async, the final drain waited
-    in-loop), so the per-step trajectories expose what encoding on the drain
-    thread costs the training loop.
-
-    The restore contrast uses a fourth, *mostly-clean* run (shuffle codec,
-    host cache capped at ``clean_run_dirty_subgroups`` — the common restart
-    case where nearly all state already sits clean on the tiers): its final
-    version is restored twice into fresh engines — eagerly (read + re-flush
-    all state up front, PR 3's restore) and streaming (hard-link clean
-    subgroups back, lazy residue) — each timed, each resumed for one further
-    iteration, and each compared bitwise against an uninterrupted
-    no-checkpoint reference.
-
-    Emits: per-codec staged raw/stored bytes and compression ratios,
-    per-step trajectories and medians, restore-mode latencies with the
-    linked/lazy split, and the bitwise checks.
-    """
-    import time
-
-    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="ckpt-compression",
-        description="Checkpoint bytes & restart latency: raw vs shuffle+LZ4-class vs null; eager vs hard-link/lazy restore",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-ckptc-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2028)
-    # Masters seeded from the FP16 working copy (mixed-precision reality):
-    # the low-mantissa bytes of every untouched master stay zero.
-    initial = (
-        (rng.standard_normal(total_params) * 0.02).astype(np.float16).astype(np.float32)
-    )
-    # Fixed sparse support: the same `gradient_density` fraction of positions
-    # receives gradients every iteration (frozen vocabulary rows never do).
-    active_mask = rng.random(total_params) < gradient_density
-    grads = []
-    for _ in range(iterations + 1):
-        g = np.zeros(total_params, dtype=np.float32)
-        g[active_mask] = rng.standard_normal(int(active_mask.sum())) * 0.1
-        grads.append(g)
-
-    def make_config(
-        root: Path,
-        codec: str,
-        *,
-        streaming: bool = True,
-        cache_subgroups: Optional[int] = None,
-    ) -> MLPOffloadConfig:
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        cached = dirty_subgroups if cache_subgroups is None else cache_subgroups
-        return MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_bw, write_bw=write_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_bw, write_bw=write_bw),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=float(cached * subgroup_params * 12),
-            adam=AdamConfig(lr=1e-3),
-            checkpoint_dir=str(root / "ckpt"),
-            checkpoint_codec=codec,
-            checkpoint_streaming_restore=streaming,
-            checkpoint_retention=iterations,
-            # Whole-field blobs: hard-link restores are then pure metadata
-            # (striping has its own benchmarks).
-            stripe=StripeConfig(threshold_bytes=float(subgroup_params * 24)),
-        )
-
-    def make_throttles():
-        return {
-            "nvme": BandwidthThrottle(
-                nvme_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-            "pfs": BandwidthThrottle(
-                pfs_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-        }
-
-    def run(codec: str, *, label: Optional[str] = None, cache_subgroups: Optional[int] = None):
-        root = base / (label or codec.replace("-", "_"))
-        config = make_config(root, codec, cache_subgroups=cache_subgroups)
-        step_seconds = []
-        with MLPOffloadEngine(config, layout, rank=0, throttles=make_throttles()) as engine:
-            engine.initialize(initial.copy())
-            fp16 = initial.astype(np.float16)
-            version = None
-            for index, grad in enumerate(grads[:iterations]):
-                step_start = time.perf_counter()
-                for sg_index, view in views.items():
-                    engine.on_backward_gradient(sg_index, grad[view].astype(np.float16))
-                engine.on_microbatch_complete()
-                engine.run_update(fp16)
-                version = engine.save_checkpoint(fp16, wait=False)
-                if index == iterations - 1:
-                    engine.checkpoint_wait()  # pay the async tail in-loop
-                step_seconds.append(time.perf_counter() - step_start)
-            writer = engine.checkpointer
-            stats = dict(
-                staged_bytes=writer.staged_bytes,
-                staged_stored_bytes=writer.staged_stored_bytes,
-                linked_blobs=writer.linked_blobs,
-                reused_blobs=writer.reused_blobs,
-            )
-            fp16_final = fp16.copy()
-            master_final = engine.fetch_master_params()
-        return step_seconds, stats, version, fp16_final, master_final, config
-
-    # Uninterrupted reference: one extra iteration past the last checkpoint.
-    from dataclasses import replace as _replace
-
-    ref_config = _replace(make_config(base / "reference", "raw"), checkpoint_dir=None)
-    with MLPOffloadEngine(ref_config, layout, rank=0, throttles=make_throttles()) as ref_engine:
-        ref_engine.initialize(initial.copy())
-        ref_fp16 = initial.astype(np.float16)
-        for grad in grads:
-            for sg_index, view in views.items():
-                ref_engine.on_backward_gradient(sg_index, grad[view].astype(np.float16))
-            ref_engine.on_microbatch_complete()
-            ref_engine.run_update(ref_fp16)
-        ref_master = ref_engine.fetch_master_params()
-
-    runs = {}
-    for codec in ("raw", "null", "shuffle-deflate"):
-        runs[codec] = run(codec)
-    # The mostly-clean restart scenario: same workload, residue capped to a
-    # couple of subgroups, so nearly everything restores by hard link.
-    clean_run = run(
-        "shuffle-deflate", label="mostly_clean", cache_subgroups=clean_run_dirty_subgroups
-    )
-
-    codecs_identical = all(
-        np.array_equal(runs["raw"][3], runs[codec][3])
-        and np.array_equal(runs["raw"][4], runs[codec][4])
-        for codec in ("null", "shuffle-deflate")
-    ) and np.array_equal(runs["raw"][4], clean_run[4])
-
-    # Restore the mostly-clean run's final version: eager vs streaming,
-    # timed, then resume one further iteration against the reference.
-    clean_version = clean_run[2]
-    clean_root = base / "mostly_clean"
-    restore_rows = {}
-    resume_bitwise = {}
-    for mode_label, streaming in (("eager", False), ("streaming", True)):
-        config = make_config(
-            clean_root,
-            "shuffle-deflate",
-            streaming=streaming,
-            cache_subgroups=clean_run_dirty_subgroups,
-        )
-        engine = MLPOffloadEngine(config, layout, rank=0, throttles=make_throttles())
-        try:
-            restore_start = time.perf_counter()
-            restored = engine.restore_checkpoint(clean_version)
-            restore_seconds = time.perf_counter() - restore_start
-            fp16 = restored.fp16_params
-            resume_start = time.perf_counter()
-            for sg_index, view in views.items():
-                engine.on_backward_gradient(
-                    sg_index, grads[iterations][view].astype(np.float16)
-                )
-            engine.on_microbatch_complete()
-            engine.run_update(fp16)
-            resume_seconds = time.perf_counter() - resume_start
-            restore_rows[mode_label] = dict(
-                restore_s=restore_seconds,
-                first_iteration_s=resume_seconds,
-                linked_subgroups=restored.linked_subgroups,
-                lazy_subgroups=restored.lazy_subgroups,
-            )
-            resume_bitwise[mode_label] = bool(
-                np.array_equal(fp16, ref_fp16)
-                and np.array_equal(engine.fetch_master_params(), ref_master)
-            )
-        finally:
-            engine.close()
-
-    medians = {codec: float(np.median(steps)) for codec, (steps, *_rest) in runs.items()}
-    for codec, (steps, stats, _version, _fp16, _master, _config) in runs.items():
-        ratio = stats["staged_bytes"] / max(1, stats["staged_stored_bytes"])
-        result.add_row(
-            series="bytes",
-            codec=codec,
-            staged_bytes=stats["staged_bytes"],
-            staged_stored_bytes=stats["staged_stored_bytes"],
-            compression_ratio=ratio,
-            linked_blobs=stats["linked_blobs"],
-            reused_blobs=stats["reused_blobs"],
-        )
-        result.add_row(
-            series="steps",
-            codec=codec,
-            median_step_s=medians[codec],
-            mean_step_s=float(np.mean(steps)),
-            overhead_vs_raw_pct=(medians[codec] / medians["raw"] - 1.0) * 100.0,
-        )
-        for iteration, step_s in enumerate(steps):
-            result.add_row(series="trajectory", codec=codec, iteration=iteration, step_s=step_s)
-    for mode_label, row in restore_rows.items():
-        result.add_row(series="restore", mode=mode_label, **row)
-    result.add_row(
-        series="check",
-        codecs_identical=codecs_identical,
-        resume_bitwise_eager=resume_bitwise["eager"],
-        resume_bitwise_streaming=resume_bitwise["streaming"],
-        restore_speedup=restore_rows["eager"]["restore_s"]
-        / max(1e-9, restore_rows["streaming"]["restore_s"]),
-    )
-    shuffle_ratio = result.row_for(series="bytes", codec="shuffle-deflate")["compression_ratio"]
-    result.add_note(
-        f"shuffle+deflate cuts staged checkpoint bytes {shuffle_ratio:.2f}x "
-        "(null-codec framing ratio "
-        f"{result.row_for(series='bytes', codec='null')['compression_ratio']:.3f}) at "
-        f"{result.row_for(series='steps', codec='shuffle-deflate')['overhead_vs_raw_pct']:+.1f}% "
-        "median step time vs the raw async writer"
-    )
-    result.add_note(
-        f"hard-link/lazy restore: {restore_rows['streaming']['restore_s']*1e3:.0f} ms vs "
-        f"{restore_rows['eager']['restore_s']*1e3:.0f} ms eager "
-        f"({result.row_for(series='check')['restore_speedup']:.1f}x), "
-        f"{restore_rows['streaming']['linked_subgroups']} subgroups linked / "
-        f"{restore_rows['streaming']['lazy_subgroups']} deferred; resume bitwise in both modes"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# checkpoint registry: cross-job dedup, push overhead, remote cold restore
-# ---------------------------------------------------------------------------
-
-def registry_push_restore_comparison(
-    *,
-    total_params: int = 160_000,
-    subgroup_params: int = 20_000,
-    versions: int = 3,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Cost and payoff of the multi-tenant checkpoint registry.
-
-    Three measurements over identical training content:
-
-    * **push overhead** — per-step wall time of a checkpointed run that also
-      pushes every committed version to the registry, against the same run
-      without a registry (pushes ride the drain; the step waits for the
-      commit, so the push cost is *not* hidden off the timeline);
-    * **cross-job dedup** — a second job with bitwise-identical state (a
-      restarted or forked fine-tune) pushes under another tenant; the
-      missing-set negotiation should let almost every blob byte stay home;
-    * **restore latency** — restoring the latest version from the local
-      checkpoint directory vs a *cold* remote restore: empty local
-      directory, manifest and every blob pulled over HTTP first.
-
-    The cold remote restore is additionally checked bitwise against the
-    pushing job's final state — the payoff claim, not just its price.
-    """
-    import time
-
-    from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.registry import RegistryServerThread
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="registry-push-restore",
-        description="Checkpoint registry: push overhead, cross-job dedup, cold remote restore",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-reg-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2028)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(versions)
-    ]
-
-    def make_config(label: str, url: Optional[str], tenant: str) -> MLPOffloadConfig:
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        return MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme")),
-                TierConfig("pfs", str(root / "pfs")),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=float(subgroup_params * 12),
-            # whole blobs: stripe extents follow run-dependent placement, so
-            # only unstriped blobs are stable content-addressed units across
-            # jobs — the dedup case under measurement
-            stripe=StripeConfig(threshold_bytes=1e12),
-            checkpoint_dir=str(root / "ckpt"),
-            checkpoint_retention=versions,
-            checkpoint_registry_url=url,
-            checkpoint_registry_tenant=tenant,
-            adam=AdamConfig(lr=1e-3),
-        )
-
-    def run_job(label: str, url: Optional[str], tenant: str):
-        """Train ``versions`` checkpointed steps; return (steps, writer stats, state)."""
-        config = make_config(label, url, tenant)
-        engine = MLPOffloadEngine(config, layout, rank=0)
-        engine.initialize(initial.copy())
-        fp16 = initial.astype(np.float16)
-        steps = []
-        for grad in grads:
-            start = time.perf_counter()
-            for index, view in views.items():
-                engine.on_backward_gradient(index, grad[view].astype(np.float16))
-            engine.on_microbatch_complete()
-            engine.run_update(fp16)
-            engine.save_checkpoint(fp16, wait=True)
-            steps.append(time.perf_counter() - start)
-        writer = engine.checkpointer
-        stats = dict(
-            pushes=writer.registry_pushes,
-            failures=writer.registry_push_failures,
-            uploaded_bytes=writer.registry_uploaded_bytes,
-            skipped_bytes=writer.registry_skipped_bytes,
-            push_seconds=writer.registry_push_seconds,
-        )
-        master = engine.fetch_master_params()
-        engine.close()
-        return steps, stats, (fp16.copy(), master)
-
-    with RegistryServerThread(base / "srv", retention=versions, scrub_interval=0) as srv:
-        local_steps, _, _ = run_job("local-only", None, "unused")
-        push_steps, push_stats, (fp16_ref, master_ref) = run_job("job-a", srv.url, "job-a")
-        _, dedup_stats, _ = run_job("job-b", srv.url, "job-b")
-
-        for mode, steps in (("local-only", local_steps), ("with-registry", push_steps)):
-            for iteration, step_s in enumerate(steps, start=1):
-                result.add_row(series="trajectory", mode=mode, iteration=iteration, step_s=step_s)
-        mean_local = float(np.mean(local_steps))
-        mean_push = float(np.mean(push_steps))
-        overhead_pct = (mean_push - mean_local) / mean_local * 100.0
-
-        total = dedup_stats["uploaded_bytes"] + dedup_stats["skipped_bytes"]
-        dedup_ratio = dedup_stats["skipped_bytes"] / total if total else 0.0
-        upload_pct = dedup_stats["uploaded_bytes"] / total * 100.0 if total else 100.0
-        for job, stats in (("job-a", push_stats), ("job-b", dedup_stats)):
-            result.add_row(
-                series="push",
-                job=job,
-                pushes=stats["pushes"],
-                failures=stats["failures"],
-                uploaded_mib=stats["uploaded_bytes"] / 2**20,
-                skipped_mib=stats["skipped_bytes"] / 2**20,
-                push_s=stats["push_seconds"],
-            )
-
-        # restore latency: local dir vs cold remote (empty local dir)
-        local = MLPOffloadEngine(make_config("job-a", srv.url, "job-a"), layout, rank=0)
-        start = time.perf_counter()
-        restored = local.restore_checkpoint()
-        local_restore_s = time.perf_counter() - start
-        local.close()
-        remote = MLPOffloadEngine(make_config("cold", srv.url, "job-a"), layout, rank=0)
-        start = time.perf_counter()
-        restored_cold = remote.restore_checkpoint()
-        remote_restore_s = time.perf_counter() - start
-        cold_bitwise = bool(
-            np.array_equal(restored_cold.fp16_params, fp16_ref)
-            and np.array_equal(remote.fetch_master_params(), master_ref)
-        )
-        remote.close()
-        result.add_row(
-            series="restore", mode="local", seconds=local_restore_s, version=restored.version
-        )
-        result.add_row(
-            series="restore",
-            mode="remote_cold",
-            seconds=remote_restore_s,
-            version=restored_cold.version,
-        )
-        result.add_row(
-            series="summary",
-            dedup_ratio=dedup_ratio,
-            second_job_upload_pct=upload_pct,
-            push_overhead_pct=overhead_pct,
-            cold_restore_bitwise=cold_bitwise,
-            push_failures=push_stats["failures"] + dedup_stats["failures"],
-        )
-    result.add_note(
-        f"second job uploaded {upload_pct:.1f}% of its blob bytes "
-        f"(dedup skipped {dedup_ratio:.0%}); cold remote restore "
-        f"{remote_restore_s / max(local_restore_s, 1e-9):.1f}x the local restore"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
 # §4.4 — cost effectiveness of offloaded vs GPU-only training
 # ---------------------------------------------------------------------------
 
@@ -1979,380 +461,4 @@ def cost_effectiveness_70b(node: NodeSpec = TESTBED_2) -> ExperimentResult:
         cost_effectiveness=1.0,
     )
     result.add_note("paper: ZeRO-3 is ~7x slower, MLP-Offload ~4.8x slower, on 10x fewer GPUs")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# I/O fault resilience — clean vs transient-fault vs dead-path degraded mode
-# ---------------------------------------------------------------------------
-
-def io_fault_resilience_comparison(
-    *,
-    total_params: int = 240_000,
-    subgroup_params: int = 40_000,
-    iterations: int = 7,
-    nvme_read_bw: float = 40e6,
-    pfs_read_bw: float = 25e6,
-    write_bw: float = 160e6,
-    latency: float = 0.0005,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Training throughput under injected tier-I/O faults on throttled tiers.
-
-    Runs the functional engine three times on identical inputs over a
-    striped NVMe+PFS pair with real-sleeping throttles:
-
-    * **clean** — no faults; the striped fast path.
-    * **transient** — seeded bursts of retryable faults (``EIO``, short
-      reads), each scoped to one subgroup's key stream with fewer faults
-      than the retry budget, so every burst is absorbed in-place.  The
-      headline ``retry_transparency_ratio`` (clean over transient median
-      update time) shows what transparent retries cost: ~1.0.
-    * **degraded** — PFS is dead from the first byte (reads and writes).
-      The first flush fails over, the path is quarantined, and the whole
-      run proceeds single-path on NVMe.  ``degraded_throughput_ratio`` —
-      the degraded run's share of clean throughput (clean median update
-      time over degraded median) — quantifies graceful degradation: it is
-      bounded by the surviving path's bandwidth share, not by timeouts or
-      crashes.
-
-    All three runs must produce bitwise-identical FP16 and FP32 master
-    state — fault tolerance that changes the training trajectory is a
-    silent-corruption bug, not resilience.
-    """
-    from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
-    from repro.core.engine import MLPOffloadEngine
-    from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="io-fault-resilience",
-        description="Update throughput: clean vs transient faults vs one dead path",
-    )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-fault-"))
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2026)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(iterations)
-    ]
-    field_bytes = subgroup_params * 4
-
-    def run(label: str, plan: "Optional[FaultPlan]"):
-        root = base / label
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=nvme_read_bw, write_bw=write_bw),
-                TierConfig("pfs", str(root / "pfs"), read_bw=pfs_read_bw, write_bw=write_bw),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=0.0,
-            adam=AdamConfig(lr=1e-3),
-            pipeline_update_phase=False,
-            stripe=StripeConfig(enabled=True, threshold_bytes=float(field_bytes // 2)),
-            adaptive_bandwidth=False,
-            io=IOBackendConfig(retry_attempts=3, retry_backoff_seconds=0.001),
-            path_quarantine_failures=2,
-            path_probe_interval=4,
-        )
-        throttles = {
-            "nvme": BandwidthThrottle(
-                nvme_read_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-            "pfs": BandwidthThrottle(
-                pfs_read_bw, simulate=False, latency=latency, duplex=True,
-                write_bytes_per_second=write_bw,
-            ),
-        }
-        if plan is not None:
-            arm_faults(plan)
-        try:
-            phase_seconds = []
-            retries = 0
-            with MLPOffloadEngine(config, layout, rank=0, throttles=throttles) as engine:
-                engine.initialize(initial.copy())
-                fp16 = initial.astype(np.float16)
-                for grad in grads:
-                    for index, view in views.items():
-                        engine.on_backward_gradient(index, grad[view].astype(np.float16))
-                    engine.on_microbatch_complete()
-                    report = engine.run_update(fp16)
-                    phase_seconds.append(report.stats.wall_seconds)
-                master = engine.fetch_master_params()
-                retries, _, _ = engine.tier.engine.retry_totals()
-                health = engine.tier.health_summary()
-                per_path = {
-                    name: engine.tier.engine.tier_stats(name)
-                    for name in engine.tier.tier_names
-                }
-        finally:
-            clear_faults()
-        return fp16, master, phase_seconds, retries, health, per_path
-
-    transient_plan = FaultPlan(
-        [
-            FaultRule(kind="eio", op="write", key="*sg00001*", count=2),
-            FaultRule(kind="eio", op="read", key="*sg00003*", count=2),
-            FaultRule(kind="short-read", op="read", key="*sg00002*", count=1),
-        ]
-    )
-    dead_plan = FaultPlan([FaultRule(kind="dead", tier="pfs", count=0)])
-
-    runs = {
-        "clean": run("clean", None),
-        "transient": run("transient", transient_plan),
-        "degraded": run("degraded", dead_plan),
-    }
-
-    for label, (_, _, seconds, _, _, _) in runs.items():
-        for iteration, update_s in enumerate(seconds):
-            result.add_row(
-                series="trajectory", engine=label, iteration=iteration, update_s=update_s
-            )
-
-    medians = {
-        label: float(np.median(seconds)) for label, (_, _, seconds, _, _, _) in runs.items()
-    }
-    # Ratios of medians: these runs sleep for real on throttled tiers, so a
-    # single descheduled iteration would shift a mean-based ratio by more
-    # than the perf gate's budget while the median shrugs it off.
-    retry_transparency_ratio = (
-        medians["clean"] / medians["transient"] if medians["transient"] > 0 else float("inf")
-    )
-    degraded_throughput_ratio = (
-        medians["clean"] / medians["degraded"] if medians["degraded"] > 0 else float("inf")
-    )
-    fp16_clean, master_clean = runs["clean"][0], runs["clean"][1]
-    bitwise = all(
-        np.array_equal(fp16_clean, runs[label][0])
-        and np.array_equal(master_clean, runs[label][1])
-        for label in ("transient", "degraded")
-    )
-    for label in ("clean", "transient", "degraded"):
-        result.add_row(
-            series="summary",
-            engine=label,
-            median_update_s=medians[label],
-            mean_update_s=float(np.mean(runs[label][2])),
-            retries=runs[label][3],
-        )
-    result.add_row(series="summary", engine="retry_transparency", value=retry_transparency_ratio)
-    result.add_row(series="summary", engine="degraded_throughput", value=degraded_throughput_ratio)
-    result.add_row(
-        series="check",
-        bitwise_identical=bitwise,
-        transient_retries=runs["transient"][3],
-        transient_injected=transient_plan.injected_total,
-        degraded_failovers=runs["degraded"][4]["failovers"],
-        pfs_quarantined=not runs["degraded"][4]["paths"]["pfs"]["healthy"],
-    )
-    for label, (_, _, _, _, _, per_path) in runs.items():
-        for name, stats in per_path.items():
-            result.add_row(
-                series="path_bytes",
-                engine=label,
-                tier=name,
-                bytes_read=stats.bytes_read,
-                bytes_written=stats.bytes_written,
-            )
-    result.add_note(
-        f"transient faults retried transparently at "
-        f"{retry_transparency_ratio:.2f}x clean throughput "
-        f"({runs['transient'][3]} retries absorbed, bitwise-identical result)"
-    )
-    result.add_note(
-        f"one dead path of a {nvme_read_bw / 1e6:.0f}+{pfs_read_bw / 1e6:.0f} MB/s pair retains "
-        f"{degraded_throughput_ratio:.0%} of clean throughput on the survivor "
-        f"(bandwidth share bound {nvme_read_bw / (nvme_read_bw + pfs_read_bw):.0%}) "
-        "instead of crashing or wedging"
-    )
-    return result
-
-
-def io_backend_codec_comparison(
-    *,
-    total_params: int = 240_000,
-    subgroup_params: int = 40_000,
-    iterations: int = 7,
-    codec_elements: int = 262_144,
-    workdir: Optional[Path] = None,
-) -> ExperimentResult:
-    """Raw-speed I/O core: pluggable backends x real compression codecs.
-
-    Runs the functional engine once per *available* I/O backend (``thread``
-    always; ``odirect`` when the filesystem supports it) on identical inputs
-    over an unthrottled NVMe+PFS pair — raw device-path speed is the point, so
-    no simulated bandwidth caps.  Every backend must produce
-    bitwise-identical FP16/FP32 training state *and* byte-for-byte identical
-    tier blob files; the gated
-    ``bitwise_identity_ratio`` headline is the fraction of non-reference
-    backends that do (1.0 or the backend layer is corrupting payloads).
-
-    The codec side frames one representative checkpoint payload
-    (mantissa-quantized float32 noise, the honest compressible case)
-    through every registered chunk codec — always ``shuffle-deflate``,
-    plus real ``lz4``/``zstd`` wherever those packages are importable —
-    and reports raw-over-encoded compression ratios.  Only the
-    always-available ``shuffle_deflate_compression_ratio`` is a gated
-    headline; lz4/zstd ratios ride along as rows for machines that have
-    the packages.
-
-    Backend wall-clock comparisons are reported as rows and ungated
-    payload keys: which raw path wins is machine- and filesystem-specific
-    (O_DIRECT trades page-cache hits for copy-free transfers), so the
-    trajectory gate must not encode one machine's verdict.
-    """
-    from repro.aio import backends as io_backends
-    from repro.codec.codecs import codec_names, get_codec
-    from repro.codec.framing import encoded_frame
-    from repro.core.config import (
-        IOBackendConfig,
-        MLPOffloadConfig,
-        StripeConfig,
-        TierConfig,
-    )
-    from repro.core.engine import MLPOffloadEngine
-    from repro.train.adam import AdamConfig
-    from repro.train.sharding import build_shard_layout, flat_views
-
-    result = ExperimentResult(
-        experiment="io-backend-codec",
-        description="Pluggable I/O backends: bitwise identity + codec compression ratios",
-    )
-    base = (
-        Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-iobackend-"))
-    )
-    layout = build_shard_layout(total_params, num_ranks=1, subgroup_size=subgroup_params)
-    views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(2026)
-    initial = rng.standard_normal(total_params).astype(np.float32)
-    grads = [
-        rng.standard_normal(total_params).astype(np.float32) * 0.1 for _ in range(iterations)
-    ]
-    field_bytes = subgroup_params * 4
-
-    probe_root = base / "probe"
-    probe_root.mkdir(parents=True, exist_ok=True)
-    available = ["thread"]
-    if io_backends.resolve("odirect", probe_root).name == "odirect":
-        available.append("odirect")
-
-    def blob_bytes(root: Path) -> Dict[str, bytes]:
-        return {
-            f"{tier}/{path.name}": path.read_bytes()
-            for tier in ("nvme", "pfs")
-            for path in sorted((root / tier).glob("*.bin"))
-        }
-
-    def run(backend: str):
-        root = base / backend
-        (root / "nvme").mkdir(parents=True, exist_ok=True)
-        (root / "pfs").mkdir(parents=True, exist_ok=True)
-        config = MLPOffloadConfig(
-            tiers=(
-                TierConfig("nvme", str(root / "nvme"), read_bw=6.9e9, write_bw=5.3e9),
-                TierConfig("pfs", str(root / "pfs"), read_bw=3.6e9, write_bw=3.6e9),
-            ),
-            subgroup_size=subgroup_params,
-            host_cache_bytes=0.0,
-            adam=AdamConfig(lr=1e-3),
-            pipeline_update_phase=False,
-            stripe=StripeConfig(threshold_bytes=float(field_bytes // 2)),
-            io=IOBackendConfig(backend=backend),
-            adaptive_bandwidth=False,
-        )
-        phase_seconds = []
-        with MLPOffloadEngine(config, layout, rank=0) as engine:
-            resolved = {s.backend_name for s in engine.tier.stores.values()}
-            engine.initialize(initial.copy())
-            fp16 = initial.astype(np.float16)
-            for grad in grads:
-                for index, view in views.items():
-                    engine.on_backward_gradient(index, grad[view].astype(np.float16))
-                engine.on_microbatch_complete()
-                report = engine.run_update(fp16)
-                phase_seconds.append(report.stats.wall_seconds)
-            master = engine.fetch_master_params()
-        return fp16, master, phase_seconds, blob_bytes(root), resolved
-
-    runs = {backend: run(backend) for backend in available}
-
-    for backend, (_, _, seconds, _, _) in runs.items():
-        for iteration, update_s in enumerate(seconds):
-            result.add_row(
-                series="trajectory", engine=backend, iteration=iteration, update_s=update_s
-            )
-
-    medians = {
-        backend: float(np.median(seconds)) for backend, (_, _, seconds, _, _) in runs.items()
-    }
-    fp16_ref, master_ref, _, blobs_ref, _ = runs["thread"]
-    others = [backend for backend in available if backend != "thread"]
-    # Training-state identity is the gated invariant.  Striped blob *files*
-    # may legitimately differ across backends (the planner aligns stripe
-    # extents to the backend's block size); whole-blob byte identity is
-    # asserted unstriped by the integration suite.
-    identical = sum(
-        1
-        for backend in others
-        if np.array_equal(fp16_ref, runs[backend][0])
-        and np.array_equal(master_ref, runs[backend][1])
-    )
-    blob_layout_identical = {backend: runs[backend][3] == blobs_ref for backend in others}
-    # Vacuously 1.0 when only the thread backend is available (nothing to
-    # compare), so the gated headline stays present on every machine.
-    bitwise_identity_ratio = identical / len(others) if others else 1.0
-    for backend in available:
-        result.add_row(
-            series="summary",
-            engine=backend,
-            median_update_s=medians[backend],
-            mean_update_s=float(np.mean(runs[backend][2])),
-            resolved=",".join(sorted(runs[backend][4])),
-        )
-    result.add_row(
-        series="check",
-        backends=",".join(available),
-        bitwise_identity_ratio=bitwise_identity_ratio,
-        compared=len(others),
-        blob_layout_identical=",".join(
-            backend for backend, same in sorted(blob_layout_identical.items()) if same
-        ),
-    )
-
-    # -- codec compression ratios -------------------------------------------
-    # Mantissa-quantized float32 noise: the representative checkpoint payload
-    # (fp16-precision values widened to fp32, as master-state snapshots are),
-    # where byte-shuffling exposes the compressible exponent/zero-mantissa
-    # planes to any general-purpose codec.
-    payload = rng.standard_normal(codec_elements).astype(np.float16).astype(np.float32)
-    for name in sorted(codec_names()):
-        if name in ("raw", "null"):
-            continue  # identity codecs: ratio 1.0 by construction
-        codec = get_codec(name)
-        frame = encoded_frame(payload, codec, chunk_bytes=1 << 20)
-        ratio = payload.nbytes / len(frame)
-        result.add_row(
-            series="codec",
-            codec=name,
-            raw_bytes=payload.nbytes,
-            encoded_bytes=len(frame),
-            compression_ratio=ratio,
-        )
-
-    backend_list = ", ".join(available)
-    result.add_note(
-        f"backends available on this machine/filesystem: {backend_list}; "
-        f"{identical}/{len(others)} non-reference backends bitwise-identical to thread"
-    )
-    if "odirect" in medians:
-        result.add_note(
-            f"odirect/thread median update time: "
-            f"{medians['odirect'] / medians['thread']:.2f}x (machine-specific, ungated)"
-        )
     return result

@@ -81,21 +81,12 @@ def format_table(rows: Sequence[Mapping[str, Any]], *, title: Optional[str] = No
     return "\n".join(lines)
 
 
-def trajectory_payload(
-    result: ExperimentResult,
-    *,
-    compression_ratio: Optional[float] = None,
-    restore_latency_s: Optional[Mapping[str, float]] = None,
-    **extra: Any,
-) -> Dict[str, Any]:
-    """The standard ``BENCH_*.json`` trajectory record of one experiment.
+def trajectory_payload(result: ExperimentResult, **extra: Any) -> Dict[str, Any]:
+    """The standard ``SWEEP_*.json`` result record of one experiment.
 
     Collects the experiment identity, every row grouped by its ``series``
-    column, and the notes — plus the cross-PR comparison metrics the
-    checkpoint benchmarks track: ``compression_ratio`` (raw staged bytes
-    over stored bytes) and ``restore_latency_s`` (seconds per restore mode).
-    ``extra`` keys are merged verbatim, so individual benchmarks can attach
-    their own headline numbers without inventing new layouts.
+    column, and the notes.  ``extra`` keys (headline scalars such as
+    ``median_speedup``) are merged verbatim.
     """
     by_series: Dict[str, List[Dict[str, Any]]] = {}
     for row in result.rows:
@@ -109,10 +100,6 @@ def trajectory_payload(
         "series": by_series,
         "notes": list(result.notes),
     }
-    if compression_ratio is not None:
-        payload["compression_ratio"] = float(compression_ratio)
-    if restore_latency_s is not None:
-        payload["restore_latency_s"] = {k: float(v) for k, v in restore_latency_s.items()}
     payload.update(extra)
     return payload
 

@@ -151,7 +151,7 @@ class BlobRef:
     ``source`` records how the blob entered the checkpoint — ``"linked"``
     (hard-linked tier-resident bytes, no data movement) or ``"staged"``
     (copied through a pooled scratch buffer and drained asynchronously) —
-    which the overhead benchmark and the docs surface.
+    which the writer's accounting and the docs surface.
     """
 
     dtype: str

@@ -23,8 +23,8 @@ crash-restart and elastic-restart assertions.
 Worker protocol details the driver relies on:
 
 * each worker writes ``result-rank<r>.npz`` (its FP16 params, gathered FP32
-  master state, and global interval) plus ``timings-rank<r>-<tag>.json`` on
-  a clean exit — a killed worker leaves neither;
+  master state, and global interval) on a clean exit — a killed worker
+  leaves none;
 * a resuming worker restores, then waits at a file barrier
   (``restored-rank<r>.flag``) until *every* rank of the wave restored —
   without it, a fast rank's first new drain could race a slow peer's
@@ -197,9 +197,7 @@ def _restore_barrier(spec: WorldSpec, rank: int, world_size: int) -> None:
     raise TimeoutError(f"rank {rank}: restore barrier timed out")
 
 
-def run_worker(
-    spec: WorldSpec, rank: int, world_size: int, *, resume: bool, tag: str
-) -> None:
+def run_worker(spec: WorldSpec, rank: int, world_size: int, *, resume: bool) -> None:
     """One rank's training loop: step, checkpoint every iteration, exit."""
     from repro.aio.locks import TierLockManager
     from repro.core.engine import MLPOffloadEngine
@@ -211,13 +209,9 @@ def run_worker(
     engine = MLPOffloadEngine(config, layout, rank=rank, lock_manager=TierLockManager())
     start, stop = layout.rank_intervals[rank]
     views = flat_views(None, layout, rank)
-    timings: Dict[str, object] = {"rank": rank, "tag": tag, "step_seconds": []}
     try:
         if resume:
-            t0 = time.perf_counter()
             restored = engine.restore_checkpoint()
-            timings["restore_seconds"] = time.perf_counter() - t0
-            timings["restored_version"] = restored.version
             fp16 = restored.fp16_params
             start_iter = int(restored.iteration)
             _restore_barrier(spec, rank, world_size)
@@ -228,13 +222,11 @@ def run_worker(
             start_iter = 0
         for it in range(start_iter, spec.iterations):
             grad = global_grad(spec, it)[start:stop]
-            t0 = time.perf_counter()
             for index, view in views.items():
                 engine.on_backward_gradient(index, grad[view].astype(np.float16))
             engine.on_microbatch_complete()
             engine.run_update(fp16)
             engine.save_checkpoint(fp16, wait=True)
-            timings["step_seconds"].append(time.perf_counter() - t0)
         engine.checkpoint_wait()
         master = engine.fetch_master_params()
         np.savez(
@@ -244,7 +236,6 @@ def run_worker(
             interval=np.array([start, stop], dtype=np.int64),
             iterations=np.int64(spec.iterations),
         )
-        (spec.base / f"timings-rank{rank}-{tag}.json").write_text(json.dumps(timings))
     finally:
         engine.close()
 
@@ -293,7 +284,6 @@ def spawn_worker(
     world_size: int,
     *,
     resume: bool = False,
-    tag: str = "initial",
     arm: Optional[str] = None,
     spec_path: Optional[Path] = None,
 ) -> subprocess.Popen:
@@ -313,8 +303,6 @@ def spawn_worker(
         str(rank),
         "--world-size",
         str(world_size),
-        "--tag",
-        tag,
     ]
     if resume:
         cmd.append("--resume")
@@ -326,7 +314,6 @@ def run_world(
     world_size: int,
     *,
     resume: bool = False,
-    tag: str = "initial",
     arm_by_rank: Optional[Dict[int, str]] = None,
     timeout: float = 120.0,
 ) -> List[int]:
@@ -344,7 +331,6 @@ def run_world(
             rank,
             world_size,
             resume=resume,
-            tag=tag,
             arm=(arm_by_rank or {}).get(rank),
         )
         for rank in range(world_size)
@@ -392,7 +378,6 @@ def run_crash_scenario(
     initial_codes = run_world(
         spec,
         spec.world_size,
-        tag="initial",
         arm_by_rank=arm_plan(phase, victim, spec.world_size, version),
     )
     assert -signal.SIGKILL in initial_codes, (
@@ -401,7 +386,7 @@ def run_crash_scenario(
     )
     resume_world = resume_world_size or spec.world_size
     t0 = time.perf_counter()
-    resume_codes = run_world(spec, resume_world, resume=True, tag="resume")
+    resume_codes = run_world(spec, resume_world, resume=True)
     recovery_seconds = time.perf_counter() - t0
     assert resume_codes == [0] * resume_world, (
         f"{phase}@{version}: resume wave failed with exit codes {resume_codes}"
@@ -452,7 +437,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rank", type=int, required=True)
     parser.add_argument("--world-size", type=int, required=True)
     parser.add_argument("--resume", action="store_true")
-    parser.add_argument("--tag", default="initial", help="label for the timings file")
     parser.add_argument(
         "--hold-drain-lease",
         action="store_true",
@@ -463,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.hold_drain_lease:
         hold_drain_lease(spec, args.rank, args.world_size)
         return 0
-    run_worker(spec, args.rank, args.world_size, resume=args.resume, tag=args.tag)
+    run_worker(spec, args.rank, args.world_size, resume=args.resume)
     return 0
 
 

@@ -48,8 +48,7 @@ def build_blob_stores(
 
     ``throttles`` should be the same bandwidth-throttle objects driving the
     corresponding tier stores, so checkpoint traffic and training I/O share
-    each path's device timeline — the contention is real, which is what the
-    overhead benchmark measures.
+    each path's device timeline and the contention between them is real.
     """
     stores: Dict[str, BlobStore] = {}
     for name, root in blob_store_roots(config).items():

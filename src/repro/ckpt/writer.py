@@ -4,7 +4,7 @@ The writer turns one consistent iteration-boundary view of an offload
 engine's state into a committed checkpoint version in two phases:
 
 **Synchronous snapshot** (inside :meth:`CheckpointWriter.snapshot`, on the
-caller's thread — the "stall" the benchmark measures for the sync mode):
+caller's thread):
 
 * *linked* fields — subgroups whose authoritative copy already sits on a
   storage tier — are referenced by content: their payload digest comes from
@@ -233,19 +233,18 @@ class CheckpointWriter:
         self.staged_bytes = 0
         #: On-store bytes of the staged blobs after encoding (== staged_bytes
         #: for the "raw" codec); staged_bytes / staged_stored_bytes is the
-        #: checkpoint compression ratio the benchmark reports.
+        #: checkpoint compression ratio.
         self.staged_stored_bytes = 0
         #: (tier, key) → encoded payload size.  Content-addressed blobs are
         #: immutable, so a reused blob's stored size never changes — caching
         #: it spares the drain thread a header read per reuse per snapshot.
         self._stored_sizes: Dict[Tuple[str, str], int] = {}
         #: Registry push accounting (``checkpoint_registry_url``): versions
-        #: pushed, bytes actually uploaded vs deduped away, wall time, and
-        #: pushes the registry failed to take (training continues regardless).
+        #: pushed, bytes actually uploaded vs deduped away, and pushes the
+        #: registry failed to take (training continues regardless).
         self.registry_pushes = 0
         self.registry_uploaded_bytes = 0
         self.registry_skipped_bytes = 0
-        self.registry_push_seconds = 0.0
         self.registry_push_failures = 0
         self._registry = None  # lazy RegistryClient, drain-thread only
         #: Checkpoint versions abandoned because a store ran out of space
@@ -686,7 +685,6 @@ class CheckpointWriter:
         url = self.config.checkpoint_registry_url
         if not url:
             return
-        start = time.perf_counter()
         try:
             if self._registry is None:
                 from repro.registry.client import RegistryClient
@@ -709,7 +707,6 @@ class CheckpointWriter:
         self.registry_pushes += 1
         self.registry_uploaded_bytes += stats.uploaded_bytes
         self.registry_skipped_bytes += stats.skipped_bytes
-        self.registry_push_seconds += time.perf_counter() - start
 
     def _collect_garbage(self) -> None:
         """Drop versions beyond the retention window and sweep orphans.

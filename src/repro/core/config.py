@@ -206,12 +206,6 @@ class MLPOffloadConfig:
     #: versions (and blobs no manifest references) are garbage-collected
     #: after each commit.
     checkpoint_retention: int = 2
-    #: Reference tier-resident subgroup blobs by content (hard link into the
-    #: checkpoint store — no data movement) instead of staging a full copy.
-    #: Off = every subgroup is read back from its tier and re-written, the
-    #: classic copy-out checkpoint (the sync-stall contrast in the
-    #: ``checkpoint_overhead_comparison`` benchmark).
-    checkpoint_link_tier_blobs: bool = True
     #: Codec applied to *staged* checkpoint payloads (dirty residue + FP16
     #: working copy) as the drain thread writes them: ``"raw"`` stores plain
     #: blobs (the pre-compression behaviour), ``"null"`` writes frames with
@@ -421,7 +415,6 @@ class MLPOffloadConfig:
                 "checkpoint_dir": self.checkpoint_dir,
                 "checkpoint_interval": self.checkpoint_interval,
                 "checkpoint_retention": self.checkpoint_retention,
-                "checkpoint_link_tier_blobs": self.checkpoint_link_tier_blobs,
                 "checkpoint_codec": self.checkpoint_codec,
                 "checkpoint_streaming_restore": self.checkpoint_streaming_restore,
                 "checkpoint_coordination": self.checkpoint_coordination,
@@ -480,7 +473,6 @@ class MLPOffloadConfig:
             checkpoint_dir=block.get("checkpoint_dir"),
             checkpoint_interval=int(block.get("checkpoint_interval", 1)),
             checkpoint_retention=int(block.get("checkpoint_retention", 2)),
-            checkpoint_link_tier_blobs=bool(block.get("checkpoint_link_tier_blobs", True)),
             checkpoint_codec=str(block.get("checkpoint_codec", "shuffle-deflate")),
             checkpoint_streaming_restore=bool(
                 block.get("checkpoint_streaming_restore", True)

@@ -968,8 +968,7 @@ class OffloadEngineBase:
         movement); dirty host-cached subgroups and the FP16 working copy are
         staged through pooled buffers and drained asynchronously, overlapped
         with whatever the caller does next — typically the next training
-        iteration.  ``wait=True`` blocks until the version is committed (the
-        synchronous-stall mode the overhead benchmark contrasts).
+        iteration.  ``wait=True`` blocks until the version is committed.
 
         Returns the new checkpoint version number.
         """
@@ -1005,29 +1004,6 @@ class OffloadEngineBase:
                         np.copyto(buf, np.asarray(entry.arrays[name]).reshape(-1))
                         staged[name] = buf
                     sources.append(SubgroupSource(index=sg.index, staged=staged))
-                elif not self.config.checkpoint_link_tier_blobs:
-                    # Copy-out contrast mode: read the subgroup back from its
-                    # tier and stage a full copy (the classic checkpoint).
-                    outs = {}
-                    futures = {}
-                    try:
-                        for name in STATE_FIELDS:
-                            outs[name] = self.pool.acquire(sg.num_params, np.float32)
-                        futures = self.tier.prefetch_subgroup(
-                            sg.key, sg.index, list(STATE_FIELDS), out_arrays=outs
-                        )
-                        self.tier.wait_fetch(futures)
-                    except BaseException:
-                        # Buffers may only return to the pool once no read
-                        # can still deserialize into them.
-                        for future in futures.values():
-                            try:
-                                future.result()
-                            except BaseException:  # noqa: BLE001 - already failing
-                                pass
-                        self.pool.release_all(outs.values())
-                        raise
-                    sources.append(SubgroupSource(index=sg.index, staged=outs))
                 else:
                     linked = {
                         name: self.tier.export_field_blobs(

@@ -790,7 +790,7 @@ def _pid_alive(pid: int) -> bool:
 class RegistryServerThread:
     """Run a :class:`RegistryServer` on a private loop in a daemon thread.
 
-    The in-process harness the example, the benchmark and the tests use:
+    The in-process harness the example and the tests use:
     ``with RegistryServerThread(root) as srv: client = RegistryClient(srv.url)``.
     The server object is reachable as ``.server`` for white-box assertions.
     """

@@ -3,8 +3,8 @@
 The performance-axis counterpart of the fault campaign: argument-product
 matrices over the paper's experiment axes (and real-engine knob grids), an
 interrupt-safe runner with content-addressed per-cell records, median/IQR
-statistics, and ``SWEEP_*.json`` result tables gated by the same trajectory
-comparator as the ``BENCH_*.json`` benchmarks.  Drive it with
+statistics, and ``SWEEP_*.json`` result tables gated by
+``benchmarks/check_trajectory.py``.  Drive it with
 ``python -m repro.sweep`` (or the ``repro-sweep`` console script).
 """
 

@@ -1,9 +1,8 @@
 """Sweep result tables: ``SWEEP_<matrix>.json`` payloads and figure ports.
 
-The machine-readable result table of a sweep is the same
-:func:`repro.bench.harness.trajectory_payload` record the ``BENCH_*.json``
-trajectories use, so ``benchmarks/check_trajectory.py`` gates sweeps with the
-exact comparator that gates benchmarks:
+The machine-readable result table of a sweep is a
+:func:`repro.bench.harness.trajectory_payload` record, the shape
+``benchmarks/check_trajectory.py`` gates:
 
 * ``series.cells`` — one row per cell: parameters + ``<metric>_median`` /
   ``<metric>_iqr`` columns + boolean check conjunctions (the LaTeX-table

@@ -804,8 +804,7 @@ class StripedStore(BlobStore):
         """Per-path bytes routed through this store, by direction.
 
         Counts payload bytes of stripes (and whole blobs) planned or executed
-        via this store — the split the benchmark and example print to show
-        both paths pulling their bandwidth-proportional share.
+        via this store: each path's bandwidth-proportional share.
         """
         with self._lock:
             return {name: dict(counts) for name, counts in self._path_bytes.items()}

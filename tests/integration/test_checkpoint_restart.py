@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.ckpt import CheckpointError, CheckpointReader
+from repro.ckpt.store import blob_store_roots
 from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
@@ -523,6 +524,138 @@ def test_back_to_back_checkpoints_reuse_content(tmp_path, workload):
         assert writer.linked_blobs == linked_before, "unchanged tier blobs were re-linked"
         assert writer.staged_blobs == staged_before, "unchanged staged blobs were re-written"
         assert writer.reused_blobs > 0
+
+
+def test_checkpointing_leaves_training_bitwise_and_every_version_restores(
+    tmp_path, workload
+):
+    """Checkpointing every step — committed synchronously or drained behind
+    the next iteration — never perturbs training, and every committed
+    version restores bitwise to the state it was taken from."""
+    layout, views, initial, grads = workload
+
+    def train(label, *, wait):
+        base = tmp_path / label
+        base.mkdir()
+        config = make_config(base, checkpoint_retention=ITERATIONS)
+        states = {}
+        with MLPOffloadEngine(config, layout, rank=0) as engine:
+            engine.initialize(initial.copy())
+            fp16 = initial.astype(np.float16)
+            for grad in grads:
+                feed_iteration(engine, views, grad)
+                engine.run_update(fp16)
+                version = engine.save_checkpoint(fp16, wait=wait)
+                if wait:  # between-step reads only when no drain is in flight
+                    states[version] = (fp16.copy(), engine.fetch_master_params())
+            engine.checkpoint_wait()
+            writer = engine.checkpointer
+            assert writer.linked_blobs > 0, "no tier-resident blob was hard-linked"
+            assert writer.staged_bytes > 0, "no dirty residue was staged"
+            final = (fp16.copy(), engine.fetch_master_params())
+        return config, final, states
+
+    reference = run_reference(tmp_path, workload)
+    _, sync_final, states = train("sync", wait=True)
+    async_config, async_final, _ = train("async", wait=False)
+    assert_equivalent(reference, sync_final)
+    assert_equivalent(reference, async_final)
+    assert sorted(states) == list(range(1, ITERATIONS + 1))
+    # Both runs share one trajectory, so the async run's versions must hold
+    # exactly the states the synchronous run recorded.
+    for version, expected in sorted(states.items()):
+        fresh = MLPOffloadEngine(async_config, layout, rank=0)
+        try:
+            restored = fresh.restore_checkpoint(version)
+            assert_equivalent(expected, (restored.fp16_params, fresh.fetch_master_params()))
+        finally:
+            fresh.close()
+
+
+def test_codecs_change_only_the_stored_bytes(tmp_path, workload):
+    """Every codec stages the same raw payload: ``raw`` stores it verbatim,
+    ``null`` adds only framing, ``shuffle-deflate`` compresses it — and
+    training is bitwise the same under all three.
+
+    The workload has the structure real mixed-precision checkpoints have:
+    FP32 masters seeded from FP16 values (zeroed low-mantissa bytes) and
+    gradients on a fixed sparse support (most Adam moments stay zero)."""
+    layout, views, _, _ = workload
+    rng = np.random.default_rng(2028)
+    initial = (rng.standard_normal(TOTAL_PARAMS) * 0.02).astype(np.float16).astype(np.float32)
+    active = rng.random(TOTAL_PARAMS) < 0.02
+    grads = []
+    for _ in range(ITERATIONS):
+        grad = np.zeros(TOTAL_PARAMS, dtype=np.float32)
+        grad[active] = rng.standard_normal(int(active.sum())) * 0.1
+        grads.append(grad)
+    accounting, finals = {}, {}
+    for codec in ("raw", "null", "shuffle-deflate"):
+        base = tmp_path / codec
+        base.mkdir()
+        config = make_config(base, checkpoint_codec=codec)
+        with MLPOffloadEngine(config, layout, rank=0) as engine:
+            engine.initialize(initial.copy())
+            fp16 = initial.astype(np.float16)
+            for grad in grads:
+                feed_iteration(engine, views, grad)
+                engine.run_update(fp16)
+                engine.save_checkpoint(fp16)
+            engine.checkpoint_wait()
+            writer = engine.checkpointer
+            accounting[codec] = (
+                writer.staged_blobs, writer.staged_bytes, writer.staged_stored_bytes
+            )
+            finals[codec] = (fp16.copy(), engine.fetch_master_params())
+    blobs, staged, raw_stored = accounting["raw"]
+    assert staged > 0 and raw_stored == staged
+    for codec in ("null", "shuffle-deflate"):
+        assert accounting[codec][:2] == (blobs, staged)
+        assert_equivalent(finals["raw"], finals[codec])
+    # Framing only: one header per blob plus one record per chunk, and every
+    # staged blob here fits in a single chunk.
+    null_overhead = accounting["null"][2] - staged
+    assert 0 < null_overhead <= blobs * (128 + 64)
+    assert accounting["shuffle-deflate"][2] < staged / 1.5
+
+
+def test_checkpoint_copies_tier_blobs_when_hard_links_fail(tmp_path, workload, monkeypatch):
+    """Where the checkpoint directory cannot hard-link tier blobs (another
+    filesystem, say), ``FileStore.adopt`` copies them instead: the
+    checkpoint owns its bytes, later training cannot reach them, and the
+    committed version restores bitwise."""
+    import errno
+    import os
+
+    def no_link(source, target, *args, **kwargs):
+        raise OSError(errno.EXDEV, "cross-device link", str(target))
+
+    monkeypatch.setattr(os, "link", no_link)
+    layout, views, initial, grads = workload
+    base = tmp_path / "copied"
+    base.mkdir()
+    config = make_config(base, checkpoint_retention=ITERATIONS)
+    with MLPOffloadEngine(config, layout, rank=0) as engine:
+        engine.initialize(initial.copy())
+        fp16 = initial.astype(np.float16)
+        feed_iteration(engine, views, grads[0])
+        engine.run_update(fp16)
+        version = engine.save_checkpoint(fp16, wait=True)
+        expected = (fp16.copy(), engine.fetch_master_params())
+        assert engine.checkpointer.linked_blobs > 0, "no tier-resident blob was adopted"
+        blobs = [blob for root in blob_store_roots(config).values() for blob in root.glob("*.bin")]
+        assert blobs and all(blob.stat().st_nlink == 1 for blob in blobs), (
+            "a checkpoint blob shares its inode with a tier blob"
+        )
+        for grad in grads[1:]:  # overwrite every tier blob the checkpoint copied
+            feed_iteration(engine, views, grad)
+            engine.run_update(fp16)
+    fresh = MLPOffloadEngine(config, layout, rank=0)
+    try:
+        restored = fresh.restore_checkpoint(version)
+        assert_equivalent(expected, (restored.fp16_params, fresh.fetch_master_params()))
+    finally:
+        fresh.close()
 
 
 def test_trainer_resume_matches_uninterrupted_run(tmp_path, tiny_model):

@@ -169,6 +169,41 @@ class TestDeadPathFailover:
         finally:
             clear_faults()
 
+    def test_path_dead_from_the_first_byte_moves_no_bytes(
+        self, tmp_path, layout, training_inputs
+    ):
+        """A stripe path that is dead for reads and writes from the start is
+        quarantined on its first failures; the run completes single-path on
+        the survivor, bitwise-identical, without moving one byte on the dead
+        path."""
+        initial, grads = training_inputs
+        baseline = _drive(_make_config(tmp_path / "clean"), layout, initial, grads)
+        plan = FaultPlan([FaultRule(kind="dead", tier="pfs", count=0)])
+        views = flat_views(None, layout, 0)
+        arm_faults(plan)
+        try:
+            with MLPOffloadEngine(_make_config(tmp_path / "dead"), layout, rank=0) as engine:
+                engine.initialize(initial.copy())
+                fp16 = initial.astype(np.float16)
+                for grad in grads:
+                    for index, view in views.items():
+                        engine.on_backward_gradient(index, grad[view].astype(np.float16))
+                    engine.on_microbatch_complete()
+                    engine.run_update(fp16)
+                master = engine.fetch_master_params()
+                health = engine.tier.health_summary()
+                dead = engine.tier.engine.tier_stats("pfs")
+                survivor = engine.tier.engine.tier_stats("nvme")
+        finally:
+            clear_faults()
+        np.testing.assert_array_equal(baseline[0], fp16)
+        np.testing.assert_array_equal(baseline[1], master)
+        assert plan.injected_total > 0
+        assert health["paths"]["pfs"]["healthy"] is False
+        assert health["failovers"] >= 1
+        assert dead.bytes_written == 0 and dead.bytes_read == 0
+        assert survivor.bytes_written > 0 and survivor.bytes_read > 0
+
     def test_healed_path_is_probed_back_into_service(self, tmp_path, layout, training_inputs):
         initial, grads = training_inputs
         # The path faults for a fixed budget of writes, then heals.  With a

@@ -19,6 +19,7 @@ against an uninterrupted reference run.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import time
 
@@ -281,6 +282,67 @@ def test_coordinator_dies_between_promote_and_gc(tmp_path, workload):
     for engine in resumed:
         engine.close()
     assert_equivalent(run_reference(tmp_path, workload), state)
+
+
+def test_concurrent_coordinated_ranks_train_bitwise_and_restart_from_one_cut(
+    tmp_path, workload
+):
+    """Ranks stepping concurrently, each checkpointing every step through
+    the global commit, train exactly like the uncheckpointed reference; a
+    fresh job then restarts every rank from the newest global version."""
+    layout, views, initial, grads = workload
+    base = tmp_path / "concurrent"
+    base.mkdir()
+    config = make_config(base, checkpoint_retention=ITERATIONS)
+    coordinator = CheckpointCoordinator(
+        config, workers=config.checkpoint_workers(layout.num_ranks)
+    )
+    engines = build_engines(config, layout, coordinator=coordinator)
+    fp16s = [arr.astype(np.float16) for arr in initial]
+    for rank, engine in enumerate(engines):
+        engine.initialize(initial[rank].copy())
+
+    def rank_step(rank, grads_of_iter):
+        engine = engines[rank]
+        for index, view in views[rank].items():
+            engine.on_backward_gradient(index, grads_of_iter[rank][view].astype(np.float16))
+        engine.on_microbatch_complete()
+        engine.run_update(fp16s[rank])
+        engine.save_checkpoint(fp16s[rank])
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=RANKS) as executor:
+        for grads_of_iter in grads:
+            for future in [
+                executor.submit(rank_step, rank, grads_of_iter) for rank in range(RANKS)
+            ]:
+                future.result()
+    for engine in engines:
+        engine.checkpoint_wait()
+    state = final_state(engines, fp16s)
+    for engine in engines:
+        engine.close()
+    assert_equivalent(run_reference(tmp_path, workload), state)
+    assert coordinator.global_versions() == list(range(1, ITERATIONS + 1))
+
+    fresh = build_engines(
+        make_config(base, checkpoint_retention=ITERATIONS), layout,
+        coordinator=CheckpointCoordinator(
+            config, workers=config.checkpoint_workers(layout.num_ranks)
+        ),
+    )
+    try:
+        restored = [engine.restore_checkpoint() for engine in fresh]
+        assert {r.global_version for r in restored} == {ITERATIONS}
+        assert_equivalent(
+            state,
+            [
+                (r.fp16_params, engine.fetch_master_params())
+                for r, engine in zip(restored, fresh)
+            ],
+        )
+    finally:
+        for engine in fresh:
+            engine.close()
 
 
 def test_restore_of_an_explicit_older_global_version(tmp_path, workload):

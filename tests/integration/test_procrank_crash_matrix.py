@@ -12,7 +12,8 @@ contract per cell:
 
 The deterministic matrix covers every phase with a representative victim
 (including the elected promoter, by arming every rank for promoter-side
-phases).  On top of it, a seed-driven random campaign samples (phase ×
+phases), one cell whose resume wave is narrower than the crashed job, and an
+unarmed wave as the no-fault baseline.  On top of it, a seed-driven random campaign samples (phase ×
 victim × crash version) cells — a bounded sample on every CI run, the full
 space behind the ``fault_campaign`` marker plus ``REPRO_FULL_FAULT_SWEEP=1``.
 """
@@ -29,9 +30,11 @@ import pytest
 from repro.ckpt.faults import COORDINATOR_PHASES
 from repro.ckpt.procrank import (
     WorldSpec,
+    collect_results,
     leaked_sentinels,
     reference_state,
     run_crash_scenario,
+    run_world,
 )
 
 WORLD = 3
@@ -82,6 +85,26 @@ def test_sigkill_of_every_rank_at_the_publish_boundary(tmp_path, reference):
             tmp_path / f"victim{victim}", reference,
             phase=phase, victim=victim, version=2,
         )
+
+
+def test_uninterrupted_real_process_world_matches_reference(tmp_path, reference):
+    """Without a fault, a wave of real processes checkpointing every step
+    gathers to the single-rank reference and leaves no sentinel behind."""
+    spec = WorldSpec(workdir=str(tmp_path), world_size=WORLD, iterations=ITERATIONS)
+    assert run_world(spec, WORLD) == [0] * WORLD
+    fp16, master = collect_results(spec, WORLD)
+    ref_fp16, ref_master = reference
+    assert np.array_equal(fp16, ref_fp16)
+    assert np.array_equal(master, ref_master)
+    assert leaked_sentinels(spec) == []
+
+
+def test_sigkill_then_elastic_resume_two_wide(tmp_path, reference):
+    """A 3-rank job killed at the publish boundary resumes 2-wide: the
+    survivors re-partition the global cut and finish bitwise."""
+    run_cell(
+        tmp_path, reference, phase="post-publish", victim=0, version=2, resume_world=2
+    )
 
 
 def _campaign_cells():

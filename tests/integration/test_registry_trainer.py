@@ -74,6 +74,18 @@ def test_trainer_pushes_and_cold_restores_bitwise(tmp_path, tiny_model):
         finally:
             engine.close()
 
+        # the pushing machine's own restore resolves from its local directory
+        layout = build_shard_layout(
+            TransformerLM(tiny_model).num_params, num_ranks=1, subgroup_size=SUBGROUP
+        )
+        local = MLPOffloadEngine(
+            make_config(tmp_path / "a", srv.url, tenant="job-a"), layout, rank=0
+        )
+        try:
+            local_version = local.restore_checkpoint().version
+        finally:
+            local.close()
+
         # a brand-new machine: fresh tier dirs, EMPTY local checkpoint dir —
         # resume must pull the checkpoint from the registry over HTTP
         resumed, engine2 = build_trainer(
@@ -84,6 +96,8 @@ def test_trainer_pushes_and_cold_restores_bitwise(tmp_path, tiny_model):
         try:
             assert resumed.last_restored is not None
             assert resumed.last_restored.iteration == 3
+            # the cold remote restore resolves the same version as the local one
+            assert resumed.last_restored.version == local_version
             assert np.array_equal(resumed.working_params(), fp16)
             assert np.array_equal(resumed.master_params(), master)
         finally:

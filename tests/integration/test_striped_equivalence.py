@@ -142,11 +142,19 @@ class TestStripedBitwiseEquivalence:
             engine.on_microbatch_complete()
             engine.run_update(fp16)
             distribution = engine.tier_distribution()
+            io = engine.tier.io_summary()
         total_state = sum(sg.optimizer_state_bytes for sg in engine.subgroups)
         assert distribution["nvme"] > 0 and distribution["pfs"] > 0
         assert distribution["nvme"] + distribution["pfs"] == pytest.approx(total_state)
         # Bandwidth-proportional: the faster hinted path holds the larger share.
         assert distribution["nvme"] > distribution["pfs"]
+        # Every striped fetch engages both paths: each serves exactly the
+        # share of the read bytes that the stripe plan placed on it.
+        read_total = io["nvme"]["bytes_read"] + io["pfs"]["bytes_read"]
+        for name in ("nvme", "pfs"):
+            assert io[name]["bytes_read"] / read_total == pytest.approx(
+                distribution[name] / total_state
+            )
 
     def test_two_workers_sharing_lock_manager_do_not_deadlock(self, tmp_path, rng):
         """Striped flushes span both tiers; with tier-exclusive locking on and

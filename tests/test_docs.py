@@ -18,8 +18,8 @@ def test_readme_exists_and_is_substantial():
     assert len(text) > 1000, "README.md looks like a stub"
     assert "quickstart" in text.lower()
     assert "pytest" in text, "README must say how to run the tests"
-    assert "perf_smoke" in text, "README must mention the perf-smoke benchmarks"
-    assert "BENCH_" in text, "README must point at the BENCH_*.json artifacts"
+    assert "e2e_bench compare" in text, "README must say how performance is measured"
+    assert "BENCHMARK.json" in text, "README must point at the benchmark declaration"
 
 
 def test_architecture_guide_exists():
@@ -63,15 +63,15 @@ def test_readme_documents_multirank_coordination_and_ci_gate():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "checkpoint_coordination" in text
     assert "examples/multirank_checkpoint.py" in text
-    assert "BENCH_multirank_ckpt.json" in text
-    assert "check_trajectory.py" in text, "README lacks the perf-regression gate"
+    assert "tests/integration/test_multirank_checkpoint.py" in text
+    assert "check_trajectory.py" in text, "README lacks the sweep regression gate"
 
 
 def test_readme_documents_checkpointing():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "checkpoint/restart" in text.lower(), "README lacks the checkpoint feature bullet"
     assert "examples/checkpoint_restart.py" in text
-    assert "BENCH_checkpoint.json" in text
+    assert "tests/integration/test_checkpoint_restart.py" in text
 
 
 def test_every_example_is_referenced_from_readme():
@@ -87,7 +87,7 @@ def test_readme_documents_registry_service():
     for anchor in (
         "checkpoint_registry_url",
         "examples/registry_fleet.py",
-        "BENCH_registry.json",
+        "tests/integration/test_registry_trainer.py",
         "repro-registry",
         "registry-smoke",
     ):
@@ -114,7 +114,7 @@ def test_readme_documents_fault_tolerance():
     for anchor in (
         "REPRO_IO_FAULT",
         "examples/degraded_path.py",
-        "BENCH_io_faults.json",
+        "tests/integration/test_io_fault_matrix.py",
         "DegradedReadError",
         "fault-smoke",
     ):
@@ -145,7 +145,7 @@ def test_readme_documents_io_backends():
         "auto → odirect → thread",
         "REPRO_IO_BACKEND",
         "BlobStore",
-        "BENCH_io_backend.json",
+        "tests/integration/test_io_backend_training.py",
         "io-backend-smoke",
         ".[codecs]",
     ):

@@ -1,10 +1,10 @@
-"""Unit tests for the perf-smoke trajectory regression comparator.
+"""Unit tests for the sweep result-table regression comparator.
 
-``benchmarks/check_trajectory.py`` is the CI gate that fails the scheduled
-perf job on a >25% median regression of any headline metric; these tests pin
-its metric extraction across both trajectory payload shapes, the
-direction-aware comparison, the noise floor, and the directory-level CLI
-behaviour (missing candidate file = failure, clean run = exit 0).
+``benchmarks/check_trajectory.py`` is the CI gate that fails the sweep-smoke
+job on a >25% regression of any headline metric of a ``SWEEP_*.json``
+table; these tests pin its metric extraction, the direction-aware
+comparison, the noise floor, and the directory-level CLI behaviour (missing
+candidate file = failure, clean run = exit 0).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _MODULE_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "check_trajectory.py"
 _spec = importlib.util.spec_from_file_location("check_trajectory", _MODULE_PATH)
@@ -33,143 +35,40 @@ def test_extracts_medians_per_mode_and_scalars():
         payload_with_series(
             {"async": [1.0, 3.0, 2.0], "none": [0.5, 0.5, 0.5]},
             compression_ratio=2.5,
-            restore_latency_s={"v1": 0.2, "v2": 0.4, "v3": 0.3},
         )
     )
     assert metrics["median_step_s:async"] == (2.0, "lower")
     assert metrics["median_step_s:none"] == (0.5, "lower")
     assert metrics["compression_ratio"] == (2.5, "higher")
-    assert metrics["restore_latency_s:median"] == (0.3, "lower")
 
 
-def test_extracts_old_payload_shape():
-    """Pre-PR-4 payloads: top-level trajectory list + mean_update_s mapping."""
+def test_extracts_every_ratio_and_speedup_scalar():
+    """Every sweep headline scalar is gated — extraction matches by suffix,
+    not a fixed key list."""
     metrics = check_trajectory.extract_metrics(
         {
-            "trajectory": [
-                {"engine": "striped", "update_s": 0.1},
-                {"engine": "striped", "update_s": 0.3},
-                {"engine": "single", "update_s": 0.4},
-            ],
-            "mean_update_s": {"striped": 0.2, "single": 0.4},
-            "speedup": 1.6,
-        }
-    )
-    assert metrics["median_step_s:striped"] == (0.2, "lower")
-    assert metrics["mean_update_s:single"] == (0.4, "lower")
-    assert metrics["speedup"] == (1.6, "higher")
-
-
-def test_extracts_overhead_percentages():
-    metrics = check_trajectory.extract_metrics(
-        {"overhead_pct": {"coordinated": 1.5, "async": 4.2}}
-    )
-    assert metrics["overhead_pct:coordinated"] == (1.5, "lower-pct")
-    assert metrics["overhead_pct:async"] == (4.2, "lower-pct")
-
-
-def test_extracts_every_ratio_speedup_and_pct_variant():
-    """The compression benchmark's restore_speedup / overhead_vs_raw_pct
-    keys must be gated too — extraction matches by suffix, not a fixed
-    key list."""
-    metrics = check_trajectory.extract_metrics(
-        {
-            "restore_speedup": 8.2,
-            "overhead_vs_raw_pct": {"shuffle-deflate": -4.7, "null": 1.2},
+            "median_speedup": 2.9,
+            "reference_match_ratio": 1.0,
+            "restore_ok_ratio": 1.0,
+            "runner_elapsed_s": 12.0,  # not a headline metric
             "some_flag": True,  # bools are not metrics
         }
     )
-    assert metrics["restore_speedup"] == (8.2, "higher")
-    assert metrics["overhead_vs_raw_pct:shuffle-deflate"] == (-4.7, "lower-pct")
-    assert metrics["overhead_vs_raw_pct:null"] == (1.2, "lower-pct")
-    assert "some_flag" not in metrics
-
-
-def test_percentage_metrics_compare_in_absolute_points():
-    baseline = {"overhead_pct:coordinated": (1.0, "lower-pct")}
-    # 1% -> 20%: a 20x relative blow-up but under the 25-point budget.
-    ok = {"overhead_pct:coordinated": (20.0, "lower-pct")}
-    bad = {"overhead_pct:coordinated": (27.0, "lower-pct")}
-    assert check_trajectory.compare_metrics(baseline, ok) == []
-    problems = check_trajectory.compare_metrics(baseline, bad)
-    assert len(problems) == 1 and "points" in problems[0]
-
-
-def test_baseline_declared_noise_widens_the_pct_budget():
-    baseline = {"overhead_pct:real_process": (-2.9, "lower-pct")}
-    # +26 points over baseline: outside the default 25-point budget, inside
-    # the widened one when the baseline declares ±20 points of noise.
-    candidate = {"overhead_pct:real_process": (23.5, "lower-pct")}
-    assert check_trajectory.compare_metrics(baseline, candidate)
-    assert (
-        check_trajectory.compare_metrics(
-            baseline, candidate,
-            baseline_noise_points={"overhead_pct:real_process": 20.0},
-        )
-        == []
-    )
-    # A genuine regression still fails the widened budget.
-    worse = {"overhead_pct:real_process": (50.0, "lower-pct")}
-    problems = check_trajectory.compare_metrics(
-        baseline, worse, baseline_noise_points={"overhead_pct:real_process": 20.0}
-    )
-    assert len(problems) == 1 and "budget +45 points" in problems[0]
-
-
-def test_noise_points_extraction_ignores_junk():
-    assert check_trajectory.extract_noise_points({}) == {}
-    assert check_trajectory.extract_noise_points({"noise_points": "nope"}) == {}
-    assert check_trajectory.extract_noise_points(
-        {"noise_points": {"overhead_pct:x": 20.0, "bad": True, "also_bad": "y"}}
-    ) == {"overhead_pct:x": 20.0}
-
-
-def test_directory_comparison_honours_baseline_noise(tmp_path):
-    base_dir = tmp_path / "base"
-    cand_dir = tmp_path / "cand"
-    base_dir.mkdir()
-    cand_dir.mkdir()
-    payload = {
-        "experiment": "x",
-        "overhead_pct": {"real_process": -2.9},
-        "noise_points": {"overhead_pct:real_process": 20.0},
+    assert metrics == {
+        "median_speedup": (2.9, "higher"),
+        "reference_match_ratio": (1.0, "higher"),
+        "restore_ok_ratio": (1.0, "higher"),
     }
-    (base_dir / "BENCH_x.json").write_text(json.dumps(payload))
-    # The candidate's own (absent) declaration is irrelevant: only the
-    # committed baseline's noise band counts.
-    (cand_dir / "BENCH_x.json").write_text(
-        json.dumps({"experiment": "x", "overhead_pct": {"real_process": 23.5}})
-    )
-    problems, checked = check_trajectory.compare_directories(base_dir, cand_dir)
-    assert problems == [] and checked == ["BENCH_x.json"]
-    # A candidate cannot vote itself a wider budget: declaration on the
-    # candidate side only is ignored.
-    (base_dir / "BENCH_x.json").write_text(
-        json.dumps({"experiment": "x", "overhead_pct": {"real_process": -2.9}})
-    )
-    (cand_dir / "BENCH_x.json").write_text(
-        json.dumps(
-            {
-                "experiment": "x",
-                "overhead_pct": {"real_process": 23.5},
-                "noise_points": {"overhead_pct:real_process": 50.0},
-            }
-        )
-    )
-    problems, _ = check_trajectory.compare_directories(base_dir, cand_dir)
-    assert len(problems) == 1
 
 
 def test_ratios_only_drops_raw_durations_but_keeps_ratios():
     baseline = {
         "median_step_s:async": (0.1, "lower"),
         "compression_ratio": (2.5, "higher"),
-        "overhead_pct:async": (2.0, "lower-pct"),
     }
     candidate = {
         "median_step_s:async": (9.9, "lower"),  # wildly slower machine
         "compression_ratio": (2.5, "higher"),
-        "overhead_pct:async": (3.0, "lower-pct"),
     }
     assert check_trajectory.compare_metrics(baseline, candidate, ratios_only=True) == []
     assert check_trajectory.compare_metrics(baseline, candidate), (
@@ -221,7 +120,7 @@ def test_noise_floor_suppresses_tiny_time_regressions():
     ), "with the floor disabled the 2x regression must be flagged"
 
 
-def write_bench(directory: Path, name: str, payload: dict) -> None:
+def write_table(directory: Path, name: str, payload: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / name).write_text(json.dumps(payload))
 
@@ -230,22 +129,22 @@ def test_directory_comparison_and_cli_exit_codes(tmp_path, capsys):
     baseline_dir = tmp_path / "baseline"
     candidate_dir = tmp_path / "candidate"
     good = payload_with_series({"async": [0.1, 0.1, 0.1]}, compression_ratio=2.5)
-    write_bench(baseline_dir, "BENCH_a.json", good)
-    write_bench(candidate_dir, "BENCH_a.json", good)
+    write_table(baseline_dir, "SWEEP_a.json", good)
+    write_table(candidate_dir, "SWEEP_a.json", good)
     assert check_trajectory.main(
         ["--baseline", str(baseline_dir), "--candidate", str(candidate_dir)]
     ) == 0
 
     # A regressed candidate fails ...
     slow = payload_with_series({"async": [0.2, 0.2, 0.2]}, compression_ratio=2.5)
-    write_bench(candidate_dir, "BENCH_a.json", slow)
+    write_table(candidate_dir, "SWEEP_a.json", slow)
     assert check_trajectory.main(
         ["--baseline", str(baseline_dir), "--candidate", str(candidate_dir)]
     ) == 1
     assert "REGRESSION" in capsys.readouterr().err
 
     # ... and so does a benchmark that silently stopped producing its file.
-    (candidate_dir / "BENCH_a.json").unlink()
+    (candidate_dir / "SWEEP_a.json").unlink()
     assert check_trajectory.main(
         ["--baseline", str(baseline_dir), "--candidate", str(candidate_dir)]
     ) == 1
@@ -259,23 +158,20 @@ def test_empty_baseline_directory_fails(tmp_path):
     ) == 1
 
 
-def test_committed_trajectories_pass_against_themselves():
-    """The repo-committed baselines must gate cleanly against themselves —
-    otherwise the scheduled job would fail on day one."""
+def test_committed_tables_pass_against_themselves():
+    """The repo-committed tables must gate cleanly against themselves —
+    otherwise the sweep-smoke job would fail on day one."""
     repo_root = Path(__file__).resolve().parents[2]
     problems, checked = check_trajectory.compare_directories(repo_root, repo_root)
     assert problems == []
-    assert "BENCH_multirank_ckpt.json" in checked
-    assert "SWEEP_weak_scaling.json" in checked
-    assert "SWEEP_engine_smoke.json" in checked
-    assert len(checked) >= 7
+    assert checked == ["SWEEP_engine_smoke.json", "SWEEP_weak_scaling.json"]
 
 
-def test_sweep_payloads_are_gated_alongside_bench(tmp_path, capsys):
-    """SWEEP_*.json result tables ride the same directory gate as BENCH_*.json."""
+def test_sweep_tables_are_gated_and_other_json_is_ignored(tmp_path, capsys):
+    """Only SWEEP_*.json result tables are gated; other JSON beside them is not."""
     baseline_dir = tmp_path / "baseline"
     candidate_dir = tmp_path / "candidate"
-    bench = payload_with_series({"async": [0.1, 0.1, 0.1]}, compression_ratio=2.5)
+    other = payload_with_series({"async": [0.1, 0.1, 0.1]}, compression_ratio=2.5)
     sweep = {
         "experiment": "sweep-weak_scaling",
         "median_speedup": 2.9,
@@ -287,18 +183,18 @@ def test_sweep_payloads_are_gated_alongside_bench(tmp_path, capsys):
         },
     }
     for directory in (baseline_dir, candidate_dir):
-        write_bench(directory, "BENCH_a.json", bench)
-        write_bench(directory, "SWEEP_weak_scaling.json", sweep)
+        write_table(directory, "BENCHMARK.json", other)
+        write_table(directory, "SWEEP_weak_scaling.json", sweep)
     assert check_trajectory.main(
         ["--baseline", str(baseline_dir), "--candidate", str(candidate_dir)]
     ) == 0
     out = capsys.readouterr().out
-    assert "checked BENCH_a.json" in out
+    assert "BENCHMARK.json" not in out
     assert "checked SWEEP_weak_scaling.json" in out
 
     # A collapsed sweep speedup fails the gate even cross-machine.
     degraded = dict(sweep, median_speedup=1.1)
-    write_bench(candidate_dir, "SWEEP_weak_scaling.json", degraded)
+    write_table(candidate_dir, "SWEEP_weak_scaling.json", degraded)
     assert check_trajectory.main(
         [
             "--baseline", str(baseline_dir),
@@ -313,3 +209,80 @@ def test_sweep_payloads_are_gated_alongside_bench(tmp_path, capsys):
     assert check_trajectory.main(
         ["--baseline", str(baseline_dir), "--candidate", str(candidate_dir)]
     ) == 1
+
+
+def test_committed_sweep_rows_group_by_codec_and_engine():
+    """The two committed tables carry the two row shapes the gate reads:
+    ``codec``/``step_s`` rows and ``engine``/``update_s`` rows, one median
+    per group."""
+    repo_root = Path(__file__).resolve().parents[2]
+    for name, group_key, value_key in (
+        ("SWEEP_engine_smoke.json", "codec", "step_s"),
+        ("SWEEP_weak_scaling.json", "engine", "update_s"),
+    ):
+        payload = json.loads((repo_root / name).read_text(encoding="utf-8"))
+        rows = payload["series"]["trajectory"]
+        groups = sorted({str(row[group_key]) for row in rows})
+        metrics = check_trajectory.extract_metrics(payload)
+        timed = {key: value for key, value in metrics.items() if value[1] == "lower"}
+        assert sorted(timed) == [f"median_step_s:{group}" for group in groups]
+        for group in groups:
+            samples = sorted(row[value_key] for row in rows if str(row[group_key]) == group)
+            assert min(samples) <= timed[f"median_step_s:{group}"][0] <= max(samples)
+
+
+def test_ungrouped_rows_pool_and_unusable_rows_are_skipped():
+    metrics = check_trajectory.extract_metrics(
+        {
+            "series": {
+                "trajectory": [
+                    {"repeat": 0, "step_s": 1.0},
+                    {"repeat": 1, "update_s": 3.0},
+                    {"repeat": 2, "step_s": "fast"},  # not a number
+                    "not-a-row",
+                ]
+            }
+        }
+    )
+    assert metrics == {"median_step_s:all": (2.0, "lower")}
+    assert check_trajectory.extract_metrics({"series": {"trajectory": "junk"}}) == {}
+    assert check_trajectory.extract_metrics({"series": "junk"}) == {}
+
+
+def test_fields_outside_the_sweep_shape_are_not_headline_metrics():
+    """Restore latencies, ``*_pct`` mappings, ``mean_update_s`` and a
+    top-level ``trajectory`` list are not part of a sweep table, so nothing
+    is gated on them."""
+    assert check_trajectory.extract_metrics(
+        {
+            "restore_latency_s": 0.5,
+            "overhead_pct": {"async": 3.0},
+            "mean_update_s": {"async": 0.2},
+            "trajectory": [{"mode": "async", "step_s": 0.1}],
+        }
+    ) == {}
+
+
+def test_unreadable_candidate_table_is_a_regression(tmp_path):
+    baseline_dir = tmp_path / "baseline"
+    candidate_dir = tmp_path / "candidate"
+    write_table(baseline_dir, "SWEEP_a.json", {"median_speedup": 2.0})
+    candidate_dir.mkdir()
+    (candidate_dir / "SWEEP_a.json").write_text("{truncated")
+    problems, checked = check_trajectory.compare_directories(baseline_dir, candidate_dir)
+    assert checked == []
+    assert len(problems) == 1 and "SWEEP_a.json: unreadable table" in problems[0]
+
+
+def test_non_positive_baseline_is_not_compared():
+    baseline = {"restore_ok_ratio": (0.0, "higher"), "median_step_s:all": (0.0, "lower")}
+    candidate = {"restore_ok_ratio": (0.0, "higher"), "median_step_s:all": (9.9, "lower")}
+    assert check_trajectory.compare_metrics(baseline, candidate) == []
+
+
+def test_non_positive_threshold_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        check_trajectory.main(
+            ["--baseline", str(tmp_path), "--candidate", str(tmp_path), "--threshold", "0"]
+        )
+    assert excinfo.value.code == 2

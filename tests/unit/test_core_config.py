@@ -1,5 +1,7 @@
 """Unit tests for the MLP-Offload configuration surface."""
 
+import json
+
 import pytest
 
 from repro.core.config import MLPOffloadConfig, TierConfig
@@ -73,6 +75,22 @@ class TestMLPOffloadConfig:
         assert restored.adam == two_tier_config.adam
         assert restored.enable_multipath == two_tier_config.enable_multipath
         assert restored.host_cache_bytes == two_tier_config.host_cache_bytes
+
+    def test_json_with_the_dropped_link_tier_blobs_key_still_parses(self, two_tier_config):
+        """Configs written while ``checkpoint_link_tier_blobs`` existed load
+        unchanged; the key is neither an option nor written back out."""
+        payload = json.loads(two_tier_config.to_json())
+        assert "checkpoint_link_tier_blobs" not in payload["mlp_offload"]
+        payload["mlp_offload"]["checkpoint_link_tier_blobs"] = False
+        restored = MLPOffloadConfig.from_json(json.dumps(payload))
+        assert restored == MLPOffloadConfig.from_json(two_tier_config.to_json())
+        assert not hasattr(restored, "checkpoint_link_tier_blobs")
+
+    def test_link_tier_blobs_is_no_longer_a_keyword(self, tier_dirs):
+        with pytest.raises(TypeError):
+            MLPOffloadConfig.single_tier(
+                tier_dirs["nvme"], subgroup_size=10, checkpoint_link_tier_blobs=False
+            )
 
     def test_from_json_requires_top_level_key(self):
         with pytest.raises(ValueError):
