@@ -40,9 +40,7 @@ TOTAL_ITERATIONS = 5
 CRASH_AFTER = 3
 
 
-def build_engine(
-    workdir: Path, model_params: int, *, checkpointing: bool, streaming_restore: bool = True
-) -> MLPOffloadEngine:
+def build_engine(workdir: Path, model_params: int, *, checkpointing: bool) -> MLPOffloadEngine:
     config = MLPOffloadConfig(
         tiers=(
             TierConfig(name="nvme", path=str(workdir / "nvme"), read_bw=6.9e9, write_bw=5.3e9),
@@ -56,7 +54,6 @@ def build_engine(
         # Staged blobs are byte-shuffled + block-compressed as they drain
         # (the default codec); restore streams: hard links + lazy residue.
         checkpoint_codec="shuffle-deflate",
-        checkpoint_streaming_restore=streaming_restore,
         adam=AdamConfig(lr=1e-3),
     )
     layout = build_shard_layout(model_params, num_ranks=1, subgroup_size=SUBGROUP_SIZE)
@@ -104,30 +101,6 @@ def main() -> None:
     )
     engine.close()
     print("simulated crash: engine abandoned mid-job\n")
-
-    # --- interlude: eager vs streaming restore latency ----------------------
-    import time
-
-    restore_seconds = {}
-    for mode, streaming in (("eager", False), ("streaming", True)):
-        probe = build_engine(
-            workdir, model_params, checkpointing=True, streaming_restore=streaming
-        )
-        start = time.perf_counter()
-        restored = probe.restore_checkpoint()
-        restore_seconds[mode] = time.perf_counter() - start
-        detail = (
-            f"{restored.linked_subgroups} subgroups hard-linked, "
-            f"{restored.lazy_subgroups} deferred to first fetch"
-            if streaming
-            else "every subgroup read and re-flushed up front"
-        )
-        print(f"{mode:>9} restore: {restore_seconds[mode] * 1e3:7.1f} ms  ({detail})")
-        probe.close()
-    print(
-        f"streaming restore is {restore_seconds['eager'] / restore_seconds['streaming']:.1f}x "
-        "faster on this mostly-clean checkpoint\n"
-    )
 
     # --- phase 2: restore into a fresh engine and finish --------------------
     engine = build_engine(workdir, model_params, checkpointing=True)

@@ -34,7 +34,9 @@ Public surface: :class:`CheckpointWriter` / :class:`CheckpointReader` for
 direct use, :class:`CheckpointManifest` for the metadata model, and the
 engine-level hooks ``save_checkpoint`` / ``maybe_checkpoint`` /
 ``restore_checkpoint`` on :class:`repro.core.engine.OffloadEngineBase`,
-which most callers should prefer.
+which most callers should prefer.  Those hooks delegate to the engine's
+:class:`CheckpointSession` (:mod:`repro.ckpt.session`), the one object that
+holds an engine's checkpoint state.
 """
 
 from repro.ckpt.coordinator import (
@@ -56,6 +58,7 @@ from repro.ckpt.manifest import (
     scan_manifest_dir,
 )
 from repro.ckpt.restore import CheckpointReader, RestoredCheckpoint
+from repro.ckpt.session import CheckpointSession
 from repro.ckpt.store import build_blob_stores, blob_store_roots
 from repro.ckpt.writer import CheckpointWriter, PendingCheckpoint, SubgroupSource
 
@@ -66,6 +69,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointManifest",
     "CheckpointReader",
+    "CheckpointSession",
     "CheckpointWriter",
     "ElasticSource",
     "GlobalCommitRecord",

@@ -12,11 +12,11 @@ tampering) raises :class:`CheckpointError` — corrupt state is never silently
 restored, and nothing is ever materialized whole beyond the destination
 buffer itself.
 
-The engine layers two restore strategies on top of this reader
-(:meth:`repro.core.engine.OffloadEngineBase.restore_checkpoint`): the eager
-mode reads and re-flushes every subgroup up front, while the streaming mode
-hard-links clean tier-resident blobs straight back into the tier stores and
-restores staged residue lazily on first fetch.
+The engine's :class:`~repro.ckpt.session.CheckpointSession` restores on top
+of this reader: it hard-links clean tier-resident blobs straight back into
+the tier stores and reads staged residue lazily on first fetch; only an
+elastic restart (a different world size) reads and re-flushes every
+subgroup up front.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ class RestoredCheckpoint:
     #: The model's FP16 working parameters at the snapshot.
     fp16_params: np.ndarray
     user_data: Dict[str, Any] = field(default_factory=dict)
-    #: How the engine brought the state back: ``"eager"`` (read + re-flush
-    #: everything up front) or ``"streaming"`` (hard links + lazy residue).
+    #: How the engine brought the state back: ``"streaming"`` (hard links +
+    #: lazy residue) or ``"eager"`` (an elastic restart's re-partitioned
+    #: state, read and re-flushed up front).
     mode: str = "eager"
     #: Subgroups whose blobs were hard-linked back into the tier stores.
     linked_subgroups: int = 0

@@ -149,8 +149,6 @@ class MLPOffloadConfig:
 
     tiers: Tuple[TierConfig, ...]
     subgroup_size: int = PAPER_SUBGROUP_SIZE
-    #: Number of pinned host buffers per worker (>=3: flush + update + prefetch).
-    pinned_buffers: int = 3
     #: Host bytes available for caching subgroups between iterations.
     host_cache_bytes: float = 0.0
     #: Design principle 1: split subgroups across all tiers (multi-path).
@@ -171,16 +169,6 @@ class MLPOffloadConfig:
     #: Lookahead window (in subgroups) of the pipelined update phase; only
     #: meaningful when ``pipeline_update_phase`` is on.
     prefetch_depth: int = 2
-    #: Derive the lookahead window per iteration from the adaptive bandwidth
-    #: estimator (window ≈ per-subgroup fetch time / per-subgroup compute
-    #: time) instead of the static ``prefetch_depth``.  Off by default: the
-    #: static window is the paper's configuration and serves as the ablation
-    #: baseline.  Results are bitwise-identical either way — the window only
-    #: changes *when* I/O is issued.
-    adaptive_prefetch_depth: bool = False
-    #: Upper bound on the adaptive lookahead window (also sizes the I/O
-    #: submission queue when ``adaptive_prefetch_depth`` is on).
-    max_prefetch_depth: int = 8
     #: Drain the FLUSH_FP32 baseline's backward-phase gradient flushes
     #: asynchronously (same treatment as the update-phase lazy flushes): the
     #: backward hook submits the write and returns; all writes are drained
@@ -215,13 +203,6 @@ class MLPOffloadConfig:
     #: bytes either way.  Content addressing keys on the *uncompressed*
     #: digest, so delta dedup is codec-independent.
     checkpoint_codec: str = "shuffle-deflate"
-    #: Restore committed checkpoints by streaming: clean tier-resident blobs
-    #: are hard-linked straight back into the tier stores (zero bytes
-    #: copied) and staged residue subgroups are decoded lazily on first
-    #: fetch, so restart cost scales with the dirty residue instead of the
-    #: full state.  Off = the eager restore (read and re-flush every
-    #: subgroup up front), kept as the contrast the restore benchmark times.
-    checkpoint_streaming_restore: bool = True
     #: Coordinate checkpoint commits across data-parallel ranks: each rank's
     #: drain publishes a *prepared* manifest and a lock-file-elected
     #: coordinator promotes a version to a global ``GLOBAL-<v>.json`` commit
@@ -273,14 +254,10 @@ class MLPOffloadConfig:
             raise ValueError(f"duplicate tier names in {names}")
         if self.subgroup_size < 1:
             raise ValueError("subgroup_size must be >= 1")
-        if self.pinned_buffers < 1:
-            raise ValueError("pinned_buffers must be >= 1")
         if self.host_cache_bytes < 0:
             raise ValueError("host_cache_bytes must be non-negative")
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
-        if self.max_prefetch_depth < 1:
-            raise ValueError("max_prefetch_depth must be >= 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.checkpoint_retention < 1:
@@ -349,18 +326,6 @@ class MLPOffloadConfig:
         world = self.checkpoint_world_size or max(1, int(layout_ranks))
         return tuple(f"rank{rank}" for rank in range(world))
 
-    def effective_prefetch_ceiling(self) -> int:
-        """Largest lookahead window the engine may use this configuration with.
-
-        The static ``prefetch_depth`` normally bounds the window; with
-        ``adaptive_prefetch_depth`` on, the per-iteration window may grow up
-        to ``max_prefetch_depth``.  Used to size the I/O submission queue so
-        a full window never blocks on back-pressure.
-        """
-        if self.adaptive_prefetch_depth:
-            return max(self.prefetch_depth, self.max_prefetch_depth)
-        return self.prefetch_depth
-
     def stripe_fanout(self) -> int:
         """Number of paths striped reads will fan out across (1 = no striping).
 
@@ -399,7 +364,6 @@ class MLPOffloadConfig:
                     {k: v for k, v in asdict(t).items() if v is not None} for t in self.tiers
                 ],
                 "subgroup_size": self.subgroup_size,
-                "pinned_buffers": self.pinned_buffers,
                 "host_cache_bytes": self.host_cache_bytes,
                 "multipath": self.enable_multipath,
                 "tier_locks": self.enable_tier_locks,
@@ -407,8 +371,6 @@ class MLPOffloadConfig:
                 "delayed_grad_conversion": self.enable_delayed_grad_conversion,
                 "pipeline_update_phase": self.pipeline_update_phase,
                 "prefetch_depth": self.prefetch_depth,
-                "adaptive_prefetch_depth": self.adaptive_prefetch_depth,
-                "max_prefetch_depth": self.max_prefetch_depth,
                 "pipeline_backward_flush": self.pipeline_backward_flush,
                 "io": asdict(self.io),
                 "stripe": asdict(self.stripe),
@@ -416,7 +378,6 @@ class MLPOffloadConfig:
                 "checkpoint_interval": self.checkpoint_interval,
                 "checkpoint_retention": self.checkpoint_retention,
                 "checkpoint_codec": self.checkpoint_codec,
-                "checkpoint_streaming_restore": self.checkpoint_streaming_restore,
                 "checkpoint_coordination": self.checkpoint_coordination,
                 "checkpoint_world_size": self.checkpoint_world_size,
                 "checkpoint_lock_stale_seconds": self.checkpoint_lock_stale_seconds,
@@ -457,7 +418,6 @@ class MLPOffloadConfig:
         return cls(
             tiers=tiers,
             subgroup_size=int(block.get("subgroup_size", PAPER_SUBGROUP_SIZE)),
-            pinned_buffers=int(block.get("pinned_buffers", 3)),
             host_cache_bytes=parse_bytes(block.get("host_cache_bytes", 0)),
             enable_multipath=bool(block.get("multipath", True)),
             enable_tier_locks=bool(block.get("tier_locks", True)),
@@ -465,8 +425,6 @@ class MLPOffloadConfig:
             enable_delayed_grad_conversion=bool(block.get("delayed_grad_conversion", True)),
             pipeline_update_phase=bool(block.get("pipeline_update_phase", True)),
             prefetch_depth=int(block.get("prefetch_depth", 2)),
-            adaptive_prefetch_depth=bool(block.get("adaptive_prefetch_depth", False)),
-            max_prefetch_depth=int(block.get("max_prefetch_depth", 8)),
             pipeline_backward_flush=bool(block.get("pipeline_backward_flush", True)),
             io=io_cfg,
             stripe=stripe_cfg,
@@ -474,9 +432,6 @@ class MLPOffloadConfig:
             checkpoint_interval=int(block.get("checkpoint_interval", 1)),
             checkpoint_retention=int(block.get("checkpoint_retention", 2)),
             checkpoint_codec=str(block.get("checkpoint_codec", "shuffle-deflate")),
-            checkpoint_streaming_restore=bool(
-                block.get("checkpoint_streaming_restore", True)
-            ),
             checkpoint_coordination=bool(block.get("checkpoint_coordination", False)),
             checkpoint_world_size=int(block.get("checkpoint_world_size", 0)),
             checkpoint_lock_stale_seconds=float(

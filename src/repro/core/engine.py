@@ -58,10 +58,7 @@ import functools
 import numpy as np
 
 from repro.aio.locks import TierLockManager
-from repro.ckpt.coordinator import CheckpointCoordinator, shared_coordinator
-from repro.ckpt.manifest import BlobRef, CheckpointError
-from repro.ckpt.restore import CheckpointReader, RestoredCheckpoint
-from repro.ckpt.writer import CheckpointWriter, SubgroupSource
+from repro.ckpt import CheckpointCoordinator, CheckpointSession, RestoredCheckpoint
 from repro.core.concurrency import NodeConcurrencyController
 from repro.core.config import MLPOffloadConfig
 from repro.core.gradient_policy import (
@@ -73,7 +70,6 @@ from repro.core.ordering import OrderingPolicy, update_order
 from repro.core.stats import UpdatePhaseStats
 from repro.core.virtual_tier import GRAD_FIELD, STATE_FIELDS, VirtualTier
 from repro.tiers.array_pool import ArrayPool
-from repro.tiers.file_store import element_count
 from repro.tiers.host_cache import HostSubgroupCache
 from repro.train.adam import AdamScratch, AdamState, adam_update
 from repro.train.gradients import GradientAccumulator
@@ -134,18 +130,15 @@ class OffloadEngineBase:
             # window (up to four field reads per subgroup plus a flushed
             # subgroup's writes, each multiplied by the stripe fan-out when
             # striped reads are on), so filling the window never blocks on
-            # queue back-pressure — including when the adaptive policy grows
-            # the window up to ``max_prefetch_depth``.  Lazy flushes beyond
-            # that are bounded by this back-pressure (written-behind evictions
-            # also go one at a time).  An eviction's submit may block inside
+            # queue back-pressure.  Lazy flushes beyond that are bounded by
+            # this back-pressure (written-behind evictions also go one at a
+            # time).  An eviction's submit may block inside
             # ``cache.put`` (cache lock held, no tier lease) without deadlock
             # at any pool size: the I/O threads draining the queue never take
             # the cache lock — its ``on_evict`` runs on the rank thread once
             # the write is reaped.  The pool is two threads per (path,
             # direction) channel, so a throttled sleeper never idles another.
-            queue_depth=max(
-                16, 4 * (config.effective_prefetch_ceiling() + 2) * config.stripe_fanout()
-            ),
+            queue_depth=max(16, 4 * (config.prefetch_depth + 2) * config.stripe_fanout()),
             throttles=throttles,
         )
         #: Pool of reusable fetch/flush scratch arrays (zero-copy tier I/O).
@@ -179,51 +172,26 @@ class OffloadEngineBase:
         self._steps: Dict[int, int] = {sg.index: 0 for sg in self.subgroups}
         self._initialized = False
         self._update_count = 0
-        #: Tier throttles, kept so restore readers share the same device
-        #: timelines as training I/O (honest restore timings).
-        self._throttles = throttles
-        #: Streaming restore: subgroup → field → checkpoint blob refs still
-        #: awaiting their lazy first-fetch restore.
-        self._pending_restores: Dict[int, Dict[str, BlobRef]] = {}
-        self._restore_reader: Optional[CheckpointReader] = None
-        self._restore_verify = True
         self.backward_flush_seconds = 0.0
         #: Async backward-phase gradient flushes in flight, by subgroup:
         #: the write futures plus the pooled FP32 payload to recycle.
         self._grad_flushes: Dict[int, Tuple[List["concurrent.futures.Future"], np.ndarray]] = {}
         #: The pipelined phase's lazy-flush list (evictions join it), else None.
         self._write_behind: Optional[List[_PendingFlush]] = None
-        #: Stats of the previous update phase (adaptive prefetch-depth input).
-        self._last_stats: Optional[UpdatePhaseStats] = None
-        #: Global-commit coordinator (two-phase multi-rank checkpoint
-        #: protocol).  In-process data-parallel workers should share one
-        #: instance (the same way they share a lock manager) so the blob
-        #: sweep sees every rank's in-flight drain; separate processes
-        #: coordinate purely through the filesystem protocol.
-        self.ckpt_coordinator: Optional[CheckpointCoordinator] = None
-        if config.checkpoint_coordinated:
-            if checkpoint_coordinator is not None:
-                self.ckpt_coordinator = checkpoint_coordinator
-            else:
-                # Converge on one instance per checkpoint directory: drain
-                # tracking (which suspends the blob sweep) only protects
-                # ranks that share the coordinator object.
-                self.ckpt_coordinator = shared_coordinator(
-                    config,
-                    workers=config.checkpoint_workers(layout.num_ranks),
-                    throttles=throttles,
-                )
-        #: Checkpoint writer, when ``config.checkpoint_dir`` is set.
-        self.checkpointer: Optional[CheckpointWriter] = None
-        if config.checkpoint_enabled:
-            self.checkpointer = CheckpointWriter(
-                config,
-                worker=self.worker,
-                pool=self.pool,
-                tier=self.tier,
-                throttles=throttles,
-                coordinator=self.ckpt_coordinator,
-            )
+        #: Checkpoint save/restore (writer, coordinator, lazily restored
+        #: subgroups); ``checkpointer`` is ``None`` without ``checkpoint_dir``.
+        self.ckpt = CheckpointSession(
+            config,
+            layout,
+            rank,
+            tier=self.tier,
+            pool=self.pool,
+            cache=self.cache,
+            throttles=throttles,
+            coordinator=checkpoint_coordinator,
+        )
+        self.checkpointer = self.ckpt.writer
+        self.ckpt_coordinator = self.ckpt.coordinator
 
     # -- initialization ----------------------------------------------------
 
@@ -400,11 +368,10 @@ class OffloadEngineBase:
 
         pipelined = self.config.pipeline_update_phase
         # Lookahead: ``prefetch_depth`` subgroups beyond the current one when
-        # pipelined (derived per iteration from the bandwidth estimator when
-        # the adaptive policy is on); the single-buffered one-ahead prefetch
-        # of Algorithm 1 otherwise (the sequential baseline keeps the seed
-        # engine's shape — one fetch overlapped, every flush synchronous).
-        slide = self._choose_prefetch_depth(fetch_fields) if pipelined else 1
+        # pipelined; the single-buffered one-ahead prefetch of Algorithm 1
+        # otherwise (the sequential baseline keeps the seed engine's shape —
+        # one fetch overlapped, every flush synchronous).
+        slide = self.config.prefetch_depth if pipelined else 1
         initial = slide + 1 if pipelined else 1
         stats.prefetch_depth = slide
 
@@ -445,7 +412,6 @@ class OffloadEngineBase:
         stats.wall_seconds = time.perf_counter() - wall_start
         self.accumulator.reset()
         self._update_count += 1
-        self._last_stats = stats
 
         estimates = self.tier.observe_iteration()
         report = UpdateReport(
@@ -555,39 +521,6 @@ class OffloadEngineBase:
 
     # -- helpers -----------------------------------------------------------
 
-    def _choose_prefetch_depth(self, fetch_fields: List[str]) -> int:
-        """The lookahead window for this update phase.
-
-        With :attr:`~repro.core.config.MLPOffloadConfig.adaptive_prefetch_depth`
-        off, the static configured depth.  On, the window that just hides
-        fetch latency behind compute: the estimated per-subgroup fetch time
-        (subgroup bytes over the estimator's aggregate tier bandwidth,
-        §3.3's Equation 1 inputs) divided by the previous phase's observed
-        per-subgroup compute+conversion time, clamped to
-        ``[1, max_prefetch_depth]``.  A deeper window than that only ties up
-        pooled buffers; a shallower one re-exposes fetch stalls.  The choice
-        affects scheduling only — results are bitwise-identical at any depth.
-        """
-        if not self.config.adaptive_prefetch_depth:
-            return self.config.prefetch_depth
-        last = self._last_stats
-        if last is None or last.subgroups_processed == 0:
-            return self.config.prefetch_depth
-        bandwidths = self.tier.estimator.bandwidths
-        aggregate_bw = sum(max(bw, 0.0) for bw in bandwidths.values())
-        if aggregate_bw <= 0:
-            return self.config.prefetch_depth
-        mean_params = self.layout.rank_params(self.rank) / len(self.subgroups)
-        bytes_per_subgroup = mean_params * 4.0 * len(fetch_fields)
-        fetch_seconds = bytes_per_subgroup / aggregate_bw
-        compute_seconds = (
-            last.compute_seconds + last.conversion_seconds
-        ) / last.subgroups_processed
-        if compute_seconds <= 0:
-            return self.config.max_prefetch_depth
-        depth = int(np.ceil(fetch_seconds / compute_seconds))
-        return max(1, min(depth, self.config.max_prefetch_depth))
-
     @staticmethod
     def _has_required_fields(arrays: Mapping[str, np.ndarray], fields: List[str]) -> bool:
         return all(f in arrays for f in fields if f != GRAD_FIELD)
@@ -623,10 +556,10 @@ class OffloadEngineBase:
         subgroup_index = order[position]
         if subgroup_index in pending or subgroup_index in self.cache:
             return
-        if subgroup_index in self._pending_restores:
-            # Lazily restored subgroup: its authoritative bytes live in the
-            # checkpoint stores, not on the tiers — the fetch goes through
-            # the restore reader when its turn comes (no tier prefetch).
+        if self.ckpt.is_pending(subgroup_index):
+            # Lazily restored subgroup: its authoritative state lives in the
+            # checkpoint stores, not on the tiers — it is read when its turn
+            # comes (no tier prefetch).
             return
         self._await_write_behind(subgroup_index)
         sg = self._by_index[subgroup_index]
@@ -647,69 +580,25 @@ class OffloadEngineBase:
         futures = self.tier.prefetch_subgroup(sg.key, sg.index, fields, out_arrays=outs)
         pending[subgroup_index] = (futures, outs)
 
-    def _fetch_restored(self, sg: Subgroup, fields: List[str]) -> Dict[str, np.ndarray]:
-        """First fetch of a lazily restored subgroup: stream it out of the
-        checkpoint stores (digest-verified, decoded through pooled buffers)
-        instead of the tiers.  The subgroup then flows through the ordinary
-        update path — cached, updated, flushed — and the tiers become its
-        authoritative home again."""
-        assert self._restore_reader is not None
-        refs = self._pending_restores[sg.index]
-        arrays: Dict[str, np.ndarray] = {}
-        try:
-            for name in STATE_FIELDS:
-                buf = self.pool.acquire(sg.num_params, np.float32)
-                arrays[name] = buf
-                self._restore_reader.read_blob(
-                    refs[name], buf, verify=self._restore_verify, pool=self.pool
-                )
-        except BaseException:
-            self.pool.release_all(arrays.values())
-            raise
-        if GRAD_FIELD in fields:
-            # The resumed run's backward pass may already have flushed a
-            # fresh FP32 gradient blob to the tier (baseline policy) — that
-            # one is newer than the checkpoint and lives where gradients
-            # always live.  A missing blob means first-iteration fallback to
-            # the host accumulator, as on the ordinary fetch path — which
-            # this read mirrors: the tier lease for non-striped reads, no
-            # lease for striped ones (flush_subgroup's deadlock note), and
-            # sibling-await before any buffer returns to the pool.
-            out = self.pool.acquire(sg.num_params, np.float32)
-            futures: Dict[str, "concurrent.futures.Future"] = {}
-            try:
-                if self.tier.is_striped_subgroup(sg.key):
-                    futures = self.tier.prefetch_subgroup(
-                        sg.key, sg.index, [GRAD_FIELD], out_arrays={GRAD_FIELD: out}
-                    )
-                else:
-                    tier_name = self.tier.placement.tier_of(sg.index)
-                    with self.concurrency.exclusive(tier_name, self.worker):
-                        futures = self.tier.prefetch_subgroup(
-                            sg.key, sg.index, [GRAD_FIELD], out_arrays={GRAD_FIELD: out}
-                        )
-                result = futures[GRAD_FIELD].result()
-            except BaseException:
-                for future in futures.values():
-                    try:
-                        future.result()
-                    except BaseException:  # noqa: BLE001 - already failing
-                        pass
-                self.pool.release(out)
-                self.pool.release_all(arrays.values())
-                raise
-            if result.ok:
-                arrays[GRAD_FIELD] = result.array
-            else:
-                self.pool.release(out)
-        del self._pending_restores[sg.index]
-        return arrays
-
     def _complete_fetch(
         self, sg: Subgroup, pending: Dict[int, _PendingFetch], fields: List[str]
     ) -> Dict[str, np.ndarray]:
-        if sg.index in self._pending_restores:
-            return self._fetch_restored(sg, fields)
+        if not self.ckpt.is_pending(sg.index):
+            return self._fetch_from_tier(sg, pending, fields)
+        # First fetch of a lazily restored subgroup: its state comes out of
+        # the checkpoint stores, an FP32 gradient (baseline policy) from the
+        # tier like any other — the resumed run's backward pass wrote it.
+        arrays = self._fetch_from_tier(sg, pending, [GRAD_FIELD]) if GRAD_FIELD in fields else {}
+        try:
+            arrays.update(self.ckpt.take_state(sg))
+        except BaseException:
+            self.pool.release_all(arrays.values())
+            raise
+        return arrays
+
+    def _fetch_from_tier(
+        self, sg: Subgroup, pending: Dict[int, _PendingFetch], fields: List[str]
+    ) -> Dict[str, np.ndarray]:
         entry = pending.pop(sg.index, None)
         if entry is None:
             self._await_write_behind(sg.index)
@@ -913,44 +802,16 @@ class OffloadEngineBase:
             cached = self.cache.peek(sg.index)
             if cached is not None and "params" in cached:
                 flat[self._views[sg.index]] = np.asarray(cached["params"], dtype=np.float32)
-            elif sg.index in self._pending_restores:
-                # Lazily restored subgroup not yet fetched: its bytes live in
-                # the checkpoint stores.  Read (do not consume — the pending
-                # lazy restore stays pending for the update path).
-                assert self._restore_reader is not None
-                buf = self.pool.acquire(sg.num_params, np.float32)
-                try:
-                    self._restore_reader.read_blob(
-                        self._pending_restores[sg.index]["params"],
-                        buf,
-                        verify=self._restore_verify,
-                        pool=self.pool,
-                    )
-                    flat[self._views[sg.index]] = buf
-                finally:
-                    self.pool.release(buf)
+            elif self.ckpt.is_pending(sg.index):
+                # Lazily restored subgroup not yet fetched: read its params
+                # from the checkpoint stores; it stays pending for the update.
+                self.ckpt.read_field(sg.index, "params", flat[self._views[sg.index]])
             else:
                 arrays = self.tier.fetch_subgroup(sg.key, sg.index, ["params"])
                 flat[self._views[sg.index]] = arrays["params"]
         return flat
 
-    # -- checkpoint / restart ------------------------------------------------
-
-    def _require_checkpointer(self) -> CheckpointWriter:
-        if self.checkpointer is None:
-            raise CheckpointError(
-                "checkpointing is not configured (set MLPOffloadConfig.checkpoint_dir)"
-            )
-        return self.checkpointer
-
-    def _layout_echo(self) -> Dict[str, int]:
-        return {
-            "total_params": int(self.layout.total_params),
-            "num_ranks": int(self.layout.num_ranks),
-            "subgroup_size": int(self.layout.subgroup_size),
-            "rank": int(self.rank),
-            "num_subgroups": len(self.subgroups),
-        }
+    # -- checkpoint / restart (delegates to ``self.ckpt``) ---------------------
 
     def save_checkpoint(
         self,
@@ -972,73 +833,17 @@ class OffloadEngineBase:
 
         Returns the new checkpoint version number.
         """
-        writer = self._require_checkpointer()
+        self.ckpt.require_writer()
         if not self._initialized:
             raise RuntimeError("engine not initialized")
-        if self._grad_flushes:
-            self._drain_grad_flushes()
-        sources: List[SubgroupSource] = []
-        fp16_staged: Optional[np.ndarray] = None
-        try:
-            for sg in self.subgroups:
-                entry = self.cache.entry(sg.index)
-                if sg.index in self._pending_restores:
-                    # Still awaiting its lazy restore: the subgroup's exact
-                    # state already sits in the checkpoint stores — carry the
-                    # previous version's refs forward verbatim (zero bytes
-                    # moved, and the reference keeps the blobs alive across
-                    # retention GC until the subgroup is actually restored).
-                    sources.append(
-                        SubgroupSource(
-                            index=sg.index,
-                            carried=dict(self._pending_restores[sg.index]),
-                        )
-                    )
-                elif entry is not None and entry.dirty:
-                    # Dirty residue: the newest state lives only in the host
-                    # cache — stage a private copy so the drain (and the next
-                    # iteration's updates) cannot race it.
-                    staged = {}
-                    for name in STATE_FIELDS:
-                        buf = self.pool.acquire(sg.num_params, np.float32)
-                        np.copyto(buf, np.asarray(entry.arrays[name]).reshape(-1))
-                        staged[name] = buf
-                    sources.append(SubgroupSource(index=sg.index, staged=staged))
-                else:
-                    linked = {
-                        name: self.tier.export_field_blobs(
-                            sg.key, sg.index, name, dtype=np.float32
-                        )
-                        for name in STATE_FIELDS
-                    }
-                    sources.append(SubgroupSource(index=sg.index, linked=linked))
-            fp16_flat = np.ascontiguousarray(fp16_params, dtype=np.float16).reshape(-1)
-            fp16_staged = self.pool.acquire(fp16_flat.size, np.float16)
-            np.copyto(fp16_staged, fp16_flat)
-            placement = {
-                sg.index: self.tier.placement.tier_of(sg.index) for sg in self.subgroups
-            }
-        except BaseException:
-            # Strand no pooled buffer: a failed staging pass hands nothing
-            # to the writer, so everything staged so far goes back now.
-            for source in sources:
-                if source.staged is not None:
-                    self.pool.release_all(source.staged.values())
-            if fp16_staged is not None:
-                self.pool.release(fp16_staged)
-            raise
-        pending = writer.snapshot(
+        self._drain_grad_flushes()
+        return self.ckpt.save(
+            fp16_params,
             iteration=self._update_count,
-            layout=self._layout_echo(),
-            steps=dict(self._steps),
-            placement=placement,
-            subgroups=sources,
-            fp16_params=fp16_staged,
-            user_data=dict(user_data or {}),
+            steps=self._steps,
+            user_data=user_data,
+            wait=wait,
         )
-        if wait:
-            pending.wait()
-        return pending.version
 
     def maybe_checkpoint(
         self,
@@ -1059,21 +864,9 @@ class OffloadEngineBase:
         return self.save_checkpoint(fp16_params, user_data=user_data, wait=wait)
 
     def checkpoint_wait(self) -> Optional[int]:
-        """Block until the in-flight checkpoint (if any) commits.
-
-        Under global coordination this also stands for election once the
-        local drain has landed: if this rank's drain lost a contended
-        promotion race (another rank held ``GLOBAL.lock`` while our prepared
-        manifest was still in flight), the quiesced job's final version is
-        promoted here rather than waiting for a next drain that may never
-        come.
-        """
-        if self.checkpointer is None:
-            return None
-        version = self.checkpointer.wait()
-        if self.ckpt_coordinator is not None:
-            self.ckpt_coordinator.promote_pending()
-        return version
+        """Block until the in-flight checkpoint (if any) commits (and, under
+        global coordination, stand for the promotion election)."""
+        return self.ckpt.wait()
 
     def restore_checkpoint(
         self, version: Optional[int] = None, *, verify: bool = True
@@ -1081,36 +874,28 @@ class OffloadEngineBase:
         """Rebuild the engine from a committed checkpoint version.
 
         Must be called on a *fresh* (uninitialized) engine over the same
-        storage configuration.  Both modes load the chosen (or latest)
-        manifest, validate its layout echo, read (and, with ``verify`` on,
-        digest-verify) the FP16 working copy, rebuild the virtual-tier
-        placement from the recorded assignments and restore the Adam step
-        counters and iteration count; they differ in how the FP32 optimizer
-        state comes back:
-
-        * **streaming** (``checkpoint_streaming_restore``, the default) —
-          subgroups whose checkpoint refs are hard-linked tier blobs are
-          *linked straight back* into the tier stores (the reverse of the
-          snapshot's adopt: a metadata operation per blob, zero payload
-          bytes moved); staged subgroups — the dirty residue — stay
-          *pending* and are streamed out of the checkpoint stores on their
-          first fetch (decoded and digest-verified through pooled buffers).
-          Restart cost is O(dirty residue), not O(state).  With ``verify``
-          on, linked blobs get a header-only geometry check against the
-          manifest; their payload *content* is not re-read (that is the
-          point of the hard link) — use
-          :meth:`CheckpointReader.verify_blobs` for a full content audit
-          when the stores are suspect.
-        * **eager** — read every subgroup's state out of the checkpoint
-          stores into pooled buffers (each segment digest-verified when
-          ``verify`` is on) and flush it back to the tiers up front (the
-          pre-streaming behaviour, kept as the restore benchmark's
-          contrast).
+        storage configuration.  Loads the chosen (or latest) manifest,
+        validates its layout echo, reads (and, with ``verify`` on,
+        digest-verifies) the FP16 working copy, rebuilds the virtual-tier
+        placement from the recorded assignments and restores the Adam step
+        counters and iteration count.  The FP32 optimizer state is streamed:
+        subgroups whose checkpoint refs are hard-linked tier blobs are
+        *linked straight back* into the tier stores (a metadata operation
+        per blob, zero payload bytes moved); staged subgroups — the dirty
+        residue — stay *pending* and are read out of the checkpoint stores
+        on their first fetch (decoded and digest-verified through pooled
+        buffers).  Restart cost is O(dirty residue), not O(state).  With
+        ``verify`` on, linked blobs get a header-only geometry check against
+        the manifest; their payload *content* is not re-read (that is the
+        point of the hard link) — use :meth:`CheckpointReader.verify_blobs`
+        for a full content audit when the stores are suspect.  A failed
+        restore leaves the engine fresh, so a retry against another version
+        starts clean.
 
         Returns the restored FP16 working parameters and user data; training
         resumes exactly where the snapshot was taken — the crash-restart
         tests assert the resumed trajectory is bitwise identical to an
-        uninterrupted run in both modes.
+        uninterrupted run.
 
         With ``checkpoint_coordination`` on, ``version`` names a *global*
         version: the restore first rolls forward any fully-prepared version
@@ -1124,288 +909,13 @@ class OffloadEngineBase:
         (elastic restart; see :mod:`repro.ckpt.elastic`) — the gathered FP32
         master state is bitwise-equal to the pre-crash gather.
         """
-        self._require_checkpointer()
+        self.ckpt.require_writer()
         if self._initialized:
             raise RuntimeError("restore_checkpoint requires a fresh engine")
-        global_version: Optional[int] = None
-        if self.ckpt_coordinator is not None:
-            # Coordinated restart: the cut is a *global* version — one every
-            # registered rank committed — never this worker's newest private
-            # manifest.  First roll forward: a version every rank fully
-            # prepared before the crash but that no promoter recorded is
-            # promoted now (strictly more progress retained than rolling back
-            # past it).  Then per-rank manifests beyond the newest global
-            # (committed or prepared) are torn-commit debris and are
-            # discarded before any rank reads, so a half-promoted version
-            # cannot resurface later.
-            self.ckpt_coordinator.roll_forward()
-            if version is not None:
-                record = self.ckpt_coordinator.load_global(version)
-            else:
-                record = self.ckpt_coordinator.latest_global()
-                if record is None:
-                    raise CheckpointError(
-                        "no globally committed checkpoints in "
-                        f"{str(self.ckpt_coordinator.directory)!r}"
-                    )
-            # Torn debris lives beyond the NEWEST global version — restoring
-            # an explicitly older global cut must not (and could not) discard
-            # relative to itself.
-            newest = self.ckpt_coordinator.global_versions()[-1]
-            self.ckpt_coordinator.discard_torn(newest)
-            new_world = tuple(f"rank{r}" for r in range(self.layout.num_ranks))
-            if tuple(record.workers) != new_world:
-                # The cut was written by a different world size — elastic
-                # restart re-partitions the old blobs onto this layout.
-                return self._restore_elastic(record, verify=verify)
-            if self.worker not in record.workers:
-                raise CheckpointError(
-                    f"global checkpoint v{record.version} covers workers "
-                    f"{list(record.workers)}, not {self.worker!r}"
-                )
-            global_version = version = record.version
-        reader = CheckpointReader(self.config, worker=self.worker, throttles=self._throttles)
-        local_versions = reader.versions() if self.ckpt_coordinator is None else []
-        if (
-            self.ckpt_coordinator is None
-            and self.config.checkpoint_registry_url
-            and (version not in local_versions if version is not None else not local_versions)
-        ):
-            # Cold restart against a registry: nothing (or not the requested
-            # version) in the local checkpoint dir — pull the manifest and the
-            # missing blobs down into the local tiers first, then restore
-            # through the unchanged local machinery (hard-link streaming
-            # included), so a remote restore is bitwise identical to a local
-            # one.  Coordinated restarts stay local: the global cut protocol
-            # owns cross-rank consistency.
-            from repro.registry.client import pull_checkpoint
-
-            pull_checkpoint(self.config, worker=self.worker, version=version)
-        manifest = reader.load_manifest(version)
-        echo = self._layout_echo()
-        if manifest.layout != echo:
-            raise CheckpointError(
-                f"checkpoint v{manifest.version} was taken with layout {manifest.layout}, "
-                f"this engine has {echo}"
-            )
-        missing = [sg.index for sg in self.subgroups if sg.index not in manifest.subgroups]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint v{manifest.version} lacks subgroups {missing}"
-            )
-        for sg in self.subgroups:
-            for name in STATE_FIELDS:
-                if name not in manifest.subgroups[sg.index]:
-                    raise CheckpointError(
-                        f"checkpoint v{manifest.version} lacks field {name!r} of "
-                        f"subgroup {sg.index}"
-                    )
-        # Read (and verify) the FP16 working copy before touching any engine
-        # state, so a corrupt blob fails while the engine is still fresh and
-        # a retry against an older version remains possible.
-        fp16 = np.empty(self.layout.rank_params(self.rank), dtype=np.float16)
-        reader.read_blob(manifest.fp16_params, fp16, verify=verify, pool=self.pool)
-        self.tier.build_placement([sg.index for sg in self.subgroups])
-        streaming = self.config.checkpoint_streaming_restore
-        linked_subgroups = lazy_subgroups = 0
-        for sg in self.subgroups:
-            fields = manifest.subgroups[sg.index]
-            target = manifest.placement.get(sg.index)
-            if target not in self.tier.tier_names:
-                target = None  # tier set changed since the snapshot
-            if streaming:
-                if target is not None:
-                    self.tier.placement.assign(sg.index, target)
-                if self._restore_by_hardlink(sg, fields, reader, verify=verify):
-                    linked_subgroups += 1
-                else:
-                    self._pending_restores[sg.index] = {
-                        name: fields[name] for name in STATE_FIELDS
-                    }
-                    lazy_subgroups += 1
-            else:
-                arrays: Dict[str, np.ndarray] = {}
-                try:
-                    for name in STATE_FIELDS:
-                        buf = self.pool.acquire(sg.num_params, np.float32)
-                        arrays[name] = buf
-                        reader.read_blob(fields[name], buf, verify=verify, pool=self.pool)
-                except BaseException:
-                    self.pool.release_all(arrays.values())
-                    raise
-                self.tier.flush_subgroup(sg.key, sg.index, arrays, tier=target, wait=True)
-                if not self.cache.put(sg.index, arrays, dirty=False):
-                    self.pool.release_all(arrays.values())
-            # A crashed run may have left a newer FP32 gradient blob behind;
-            # it belongs to a discarded iteration, so drop it.
-            self.tier.delete_subgroup_field(sg.key, sg.index, GRAD_FIELD)
-        if streaming:
-            self._restore_reader = reader
-            self._restore_verify = verify
-            if verify and linked_subgroups:
-                _LOG.info(
-                    "restore v%d: %d subgroups hard-linked (geometry-checked, payload "
-                    "content not re-read); run CheckpointReader.verify_blobs for a "
-                    "full digest audit",
-                    manifest.version,
-                    linked_subgroups,
-                )
-        self._steps = {
-            sg.index: int(manifest.steps.get(sg.index, 0)) for sg in self.subgroups
-        }
-        self._update_count = int(manifest.iteration)
-        self._last_stats = None
+        restored, self._steps = self.ckpt.restore(version, verify=verify)
+        self._update_count = restored.iteration
         self._initialized = True
-        return RestoredCheckpoint(
-            version=manifest.version,
-            iteration=manifest.iteration,
-            fp16_params=fp16,
-            user_data=manifest.user_data,
-            mode="streaming" if streaming else "eager",
-            linked_subgroups=linked_subgroups,
-            lazy_subgroups=lazy_subgroups,
-            global_version=global_version,
-        )
-
-    def _restore_elastic(self, record, *, verify: bool) -> RestoredCheckpoint:
-        """Restore a global cut written at a different world size.
-
-        Opens every old rank's manifest of the cut, rebuilds the writing
-        job's :class:`ShardLayout` from the manifests' layout echo, and
-        re-partitions the old blobs onto this engine's subgroups
-        (:mod:`repro.ckpt.elastic`).  Always eager: the old blob geometry
-        does not line up with the new subgroup boundaries, so there is
-        nothing to hard-link or stream lazily — every overlapping old blob
-        is read once and scattered through pooled buffers, then flushed to
-        this rank's tiers.
-        """
-        from repro.ckpt.elastic import interval_step, open_elastic_source, repartition
-
-        source = open_elastic_source(self.config, record, throttles=self._throttles)
-        if source.old_layout.total_params != self.layout.total_params:
-            raise CheckpointError(
-                f"global v{record.version} holds {source.old_layout.total_params} "
-                f"parameters, this engine's layout has {self.layout.total_params}"
-            )
-        rank_start, rank_stop = self.layout.rank_intervals[self.rank]
-        fp16 = np.empty(self.layout.rank_params(self.rank), dtype=np.float16)
-        requests = [("fp16", rank_start, rank_stop, fp16)]
-        arrays_by_index: Dict[int, Dict[str, np.ndarray]] = {}
-        try:
-            for sg in self.subgroups:
-                arrays = {
-                    name: self.pool.acquire(sg.num_params, np.float32)
-                    for name in STATE_FIELDS
-                }
-                arrays_by_index[sg.index] = arrays
-                for name in STATE_FIELDS:
-                    requests.append((name, sg.global_start, sg.global_stop, arrays[name]))
-            repartition(source, requests, pool=self.pool, verify=verify)
-        except BaseException:
-            for arrays in arrays_by_index.values():
-                self.pool.release_all(arrays.values())
-            raise
-        self.tier.build_placement([sg.index for sg in self.subgroups])
-        for sg in self.subgroups:
-            arrays = arrays_by_index[sg.index]
-            self.tier.flush_subgroup(sg.key, sg.index, arrays, tier=None, wait=True)
-            if not self.cache.put(sg.index, arrays, dirty=False):
-                self.pool.release_all(arrays.values())
-            self.tier.delete_subgroup_field(sg.key, sg.index, GRAD_FIELD)
-        self._steps = {
-            sg.index: interval_step(source, sg.global_start, sg.global_stop)
-            for sg in self.subgroups
-        }
-        self._update_count = int(source.iteration)
-        self._last_stats = None
-        self._initialized = True
-        return RestoredCheckpoint(
-            version=record.version,
-            iteration=source.iteration,
-            fp16_params=fp16,
-            user_data=source.user_data,
-            mode="eager",
-            global_version=record.version,
-        )
-
-    def _restore_by_hardlink(
-        self, sg, fields: Dict[str, BlobRef], reader, *, verify: bool
-    ) -> bool:
-        """Link one subgroup's checkpoint blobs back into the tier stores.
-
-        Only *linked* raw refs whose tiers are still configured qualify — a
-        hard link can neither decode a frame stream nor cross filesystems.
-        Blobs referenced by the manifest must exist (a missing one raises
-        :class:`CheckpointError`: the checkpoint is damaged), and with
-        ``verify`` on each blob's stored geometry (dtype, element count) is
-        checked against the manifest — a header-only read that catches
-        truncation and file swaps while still moving zero payload bytes.
-        Payload *content* is deliberately not digest-checked here (that
-        would read everything the hard link exists to avoid; see
-        :meth:`CheckpointReader.verify_blobs` for the deep audit).  Returns
-        ``False`` when the subgroup does not qualify or the recorded layout
-        no longer fits the current striping configuration; the caller then
-        falls back to the lazy streamed restore (a partially adopted
-        subgroup is harmless — the adopted blobs hold exactly the checkpoint
-        content and are overwritten by the subgroup's next flush).
-        """
-        from repro.tiers.file_store import StoreError
-
-        for name in STATE_FIELDS:
-            ref = fields[name]
-            if ref.source != "linked":
-                return False
-            for seg in ref.segments:
-                if seg.codec != "raw" or seg.tier not in self.tier.tier_names:
-                    return False
-        # Single-segment refs adopt as whole blobs on their recorded tier,
-        # and whole-blob reads route through the placement map — so every
-        # single-segment field must live on one common tier (a single-extent
-        # *striped* layout can sit on a stripe path that differs from the
-        # recorded placement).  Disagreement falls back to the lazy restore.
-        whole_tiers = {
-            fields[name].segments[0].tier
-            for name in STATE_FIELDS
-            if len(fields[name].segments) == 1
-        }
-        if len(whole_tiers) > 1:
-            return False
-        try:
-            for name in STATE_FIELDS:
-                ref = fields[name]
-                segments = []
-                for seg in ref.segments:
-                    store = reader.stores.get(seg.tier)
-                    if store is None or not store.contains(seg.key):
-                        raise CheckpointError(
-                            f"checkpoint references missing blob {seg.key!r} on tier "
-                            f"{seg.tier!r}"
-                        )
-                    if verify:
-                        dtype, shape = store.meta_of(seg.key)
-                        count = element_count(shape)
-                        if dtype != ref.numpy_dtype or count != seg.count:
-                            raise CheckpointError(
-                                f"checkpoint blob {seg.key!r} on tier {seg.tier!r} "
-                                "failed its integrity check (stored geometry "
-                                f"{dtype.name}[{count}] != manifest "
-                                f"{ref.dtype}[{seg.count}])"
-                            )
-                    segments.append(
-                        (seg.tier, store.path_of(seg.key), seg.start, seg.count, seg.digest)
-                    )
-                self.tier.adopt_field_blobs(sg.key, name, segments)
-        except StoreError:
-            # Layout no longer representable (striping off, stripe set
-            # narrowed, ...): restore this subgroup lazily instead.
-            return False
-        if whole_tiers:
-            # Reads of whole blobs follow the placement map; make it agree
-            # with where the adopted blobs actually live (the manifest's
-            # recorded placement can differ, e.g. a single-extent striped
-            # layout on a stripe path).
-            self.tier.placement.assign(sg.index, next(iter(whole_tiers)))
-        return True
+        return restored
 
     @property
     def update_count(self) -> int:
@@ -1414,8 +924,7 @@ class OffloadEngineBase:
     def close(self) -> None:
         self._drain_grad_flushes(swallow_errors=True)
         try:
-            if self.checkpointer is not None:
-                self.checkpointer.close()
+            self.ckpt.close()
         finally:
             self.tier.close()
 

@@ -28,7 +28,7 @@ class UpdatePhaseStats:
     conversion_seconds: float = 0.0
     wall_seconds: float = 0.0
     skipped_flushes: int = 0
-    #: Lookahead window the phase actually ran with (static or adaptive).
+    #: Lookahead window the phase ran with (``prefetch_depth``; 1 sequential).
     prefetch_depth: int = 0
     #: Time spent draining async backward-phase gradient flushes at the
     #: start of the update phase (FLUSH_FP32 policy with pipelining on).

@@ -49,14 +49,11 @@ from repro.tiers import faultstore
 from repro.tiers.file_store import FileStore, StoreError, element_count
 from repro.tiers.spec import BlobStore, degraded_weights
 from repro.tiers.striped_store import DegradedReadError, StripedStore
+from repro.train.sharding import GRAD_FIELD, STATE_FIELDS
 from repro.util.logging import get_logger
 
 _LOG = get_logger("core.virtual_tier")
 
-#: The arrays making up one offloaded subgroup of optimizer state.
-STATE_FIELDS = ("params", "exp_avg", "exp_avg_sq")
-#: Additional field carried by the baseline policy (FP32 gradients on disk).
-GRAD_FIELD = "grad_fp32"
 #: Key prefix of the tiny recovery-probe blobs (never checkpointed).
 PROBE_KEY_PREFIX = "ioprobe"
 

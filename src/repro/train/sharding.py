@@ -24,6 +24,10 @@ from repro.train.model_zoo import FP16_GRAD_BYTES, OPTIMIZER_STATE_BYTES
 DEFAULT_SUBGROUP_SIZE = 1_000_000_000
 #: The subgroup size the paper uses for all evaluated approaches (§4.1).
 PAPER_SUBGROUP_SIZE = 100_000_000
+#: The FP32 arrays making up one subgroup's offloaded optimizer state.
+STATE_FIELDS = ("params", "exp_avg", "exp_avg_sq")
+#: Additional field carried by the baseline policy (FP32 gradients on disk).
+GRAD_FIELD = "grad_fp32"
 
 
 @dataclass(frozen=True)

@@ -240,15 +240,14 @@ def test_corrupt_blob_fails_integrity_check(tmp_path, workload):
         fresh.close()
 
 
-# -- codec × restore-mode matrix --------------------------------------------
+# -- codec matrix -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("codec", ["raw", "null", "shuffle-deflate"])
-@pytest.mark.parametrize("streaming", [False, True])
-def test_restart_matrix_codec_by_restore_mode(tmp_path, workload, codec, streaming):
-    """Bitwise resume must hold for every codec under both restore modes
-    (the compressed checkpoint × streaming/hard-link restore tentpole)."""
-    overrides = dict(checkpoint_codec=codec, checkpoint_streaming_restore=streaming)
+def test_restart_matrix_by_codec(tmp_path, workload, codec):
+    """Bitwise resume must hold for every codec of the staged residue under
+    the streaming (hard-link + lazy residue) restore."""
+    overrides = dict(checkpoint_codec=codec)
 
     def crash(engine, fp16, views, grads):
         # Partial next iteration, so restore also has stale tier state to beat.
@@ -282,17 +281,17 @@ def test_streaming_restore_links_clean_and_defers_dirty(tmp_path, workload):
     assert restored.mode == "streaming"
     assert restored.linked_subgroups > 0, "no clean subgroup was hard-linked back"
     assert restored.lazy_subgroups > 0, "no dirty residue was deferred"
-    assert len(resumed._pending_restores) == restored.lazy_subgroups
+    assert len(resumed.ckpt.pending_subgroups()) == restored.lazy_subgroups
     # fetch_master_params reads pending subgroups from the checkpoint stores
     # without consuming the pending restore.
     _master_before = resumed.fetch_master_params()  # side effect only: read, don't consume
-    assert len(resumed._pending_restores) == restored.lazy_subgroups
+    assert len(resumed.ckpt.pending_subgroups()) == restored.lazy_subgroups
     # The first update phase drains every pending restore on first fetch.
     fp16_resumed = restored.fp16_params
     for grad in grads[restored.iteration :]:
         feed_iteration(resumed, views, grad)
         resumed.run_update(fp16_resumed)
-    assert not resumed._pending_restores, "lazy restores survived a full update phase"
+    assert not resumed.ckpt.pending_subgroups(), "lazy restores survived a full update phase"
     master = resumed.fetch_master_params()
     resumed.close()
 
@@ -339,8 +338,7 @@ def test_checkpoint_while_lazy_restores_pending_carries_refs(tmp_path, workload)
 def test_deep_audit_catches_corrupt_linked_blob(tmp_path, workload):
     """A hard-link restore never reads linked payloads (that is the point), so
     a corrupt linked blob passes the restore itself; the deep audit
-    (`CheckpointReader.verify_blobs`) must catch it — and the eager restore
-    must refuse it outright."""
+    (`CheckpointReader.verify_blobs`) must catch it."""
     layout, views, initial, grads = workload
     base = tmp_path / "crashed"
     base.mkdir()
@@ -368,14 +366,46 @@ def test_deep_audit_catches_corrupt_linked_blob(tmp_path, workload):
 
     with pytest.raises(CheckpointError, match="integrity"):
         reader.verify_blobs(manifest)
-    eager = MLPOffloadEngine(
-        make_config(base, checkpoint_streaming_restore=False), layout, rank=0
-    )
+
+
+def test_failed_restore_leaves_nothing_pending_for_a_retry(tmp_path, workload):
+    """A restore that fails after the FP16 check (here: a missing linked blob)
+    must not leave the newer version's lazy refs behind — retrying an older
+    version on the same engine restores exactly that version."""
+    layout, views, initial, grads = workload
+    base = tmp_path / "crashed"
+    base.mkdir()
+    config = make_config(base, checkpoint_retention=4)
+    masters = {}
+    with MLPOffloadEngine(config, layout, rank=0) as engine:
+        engine.initialize(initial.copy())
+        fp16 = initial.astype(np.float16)
+        for grad in grads[:3]:
+            feed_iteration(engine, views, grad)
+            engine.run_update(fp16)
+            version = engine.save_checkpoint(fp16, wait=True)
+            masters[version] = engine.fetch_master_params()
+    assert sorted(masters) == [1, 2, 3]
+
+    # Damage v2: a linked blob of a subgroup restored after lazy ones.
+    reader = CheckpointReader(config, worker="rank0")
+    v2 = reader.load_manifest(2)
+    lazy = [i for i in sorted(v2.subgroups) if v2.subgroups[i]["params"].source == "staged"]
+    linked = [i for i in sorted(v2.subgroups) if v2.subgroups[i]["params"].source == "linked"]
+    assert lazy and linked and lazy[0] < linked[-1]
+    seg = v2.subgroups[linked[-1]]["params"].segments[0]
+    reader.stores[seg.tier].path_of(seg.key).unlink()
+
+    resumed = MLPOffloadEngine(make_config(base, checkpoint_retention=4), layout, rank=0)
     try:
-        with pytest.raises(CheckpointError, match="integrity"):
-            eager.restore_checkpoint()
+        with pytest.raises(CheckpointError, match="missing blob"):
+            resumed.restore_checkpoint(2)
+        restored = resumed.restore_checkpoint(1)
+        assert restored.version == 1
+        assert np.array_equal(resumed.fetch_master_params(), masters[1])
+        assert len(resumed.ckpt.pending_subgroups()) == restored.lazy_subgroups
     finally:
-        eager.close()
+        resumed.close()
 
 
 def test_streaming_restore_rejects_swapped_linked_blob_geometry(tmp_path, workload):

@@ -40,6 +40,8 @@ def test_architecture_guide_documents_checkpointing():
         "Restart sequence",
         "checkpoint_dir",
         "checkpoint_retention",
+        "CheckpointSession",
+        "ckpt/session.py",
     ):
         assert anchor in text, f"checkpoint data-flow section does not mention {anchor}"
 

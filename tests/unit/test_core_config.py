@@ -7,6 +7,15 @@ import pytest
 from repro.core.config import MLPOffloadConfig, TierConfig
 from repro.train.adam import AdamConfig
 
+#: Options that were deleted, each with a value an old config file may hold.
+DROPPED_KEYS = [
+    ("checkpoint_link_tier_blobs", False),
+    ("pinned_buffers", 3),
+    ("adaptive_prefetch_depth", True),
+    ("max_prefetch_depth", 8),
+    ("checkpoint_streaming_restore", False),
+]
+
 
 class TestTierConfig:
     def test_effective_bw_requires_both_directions(self):
@@ -43,8 +52,6 @@ class TestMLPOffloadConfig:
         with pytest.raises(ValueError):
             MLPOffloadConfig(tiers=single, subgroup_size=0)
         with pytest.raises(ValueError):
-            MLPOffloadConfig(tiers=single, pinned_buffers=0)
-        with pytest.raises(ValueError):
             MLPOffloadConfig(tiers=single, host_cache_bytes=-1)
         with pytest.raises(ValueError):
             MLPOffloadConfig(tiers=single, bandwidth_smoothing=0.0)
@@ -76,21 +83,21 @@ class TestMLPOffloadConfig:
         assert restored.enable_multipath == two_tier_config.enable_multipath
         assert restored.host_cache_bytes == two_tier_config.host_cache_bytes
 
-    def test_json_with_the_dropped_link_tier_blobs_key_still_parses(self, two_tier_config):
-        """Configs written while ``checkpoint_link_tier_blobs`` existed load
+    @pytest.mark.parametrize("key, value", DROPPED_KEYS)
+    def test_json_with_a_dropped_key_still_parses(self, two_tier_config, key, value):
+        """Configs written while a since-deleted option existed load
         unchanged; the key is neither an option nor written back out."""
         payload = json.loads(two_tier_config.to_json())
-        assert "checkpoint_link_tier_blobs" not in payload["mlp_offload"]
-        payload["mlp_offload"]["checkpoint_link_tier_blobs"] = False
+        assert key not in payload["mlp_offload"]
+        payload["mlp_offload"][key] = value
         restored = MLPOffloadConfig.from_json(json.dumps(payload))
         assert restored == MLPOffloadConfig.from_json(two_tier_config.to_json())
-        assert not hasattr(restored, "checkpoint_link_tier_blobs")
+        assert not hasattr(restored, key)
 
-    def test_link_tier_blobs_is_no_longer_a_keyword(self, tier_dirs):
+    @pytest.mark.parametrize("key, value", DROPPED_KEYS)
+    def test_dropped_key_is_no_longer_a_keyword(self, tier_dirs, key, value):
         with pytest.raises(TypeError):
-            MLPOffloadConfig.single_tier(
-                tier_dirs["nvme"], subgroup_size=10, checkpoint_link_tier_blobs=False
-            )
+            MLPOffloadConfig.single_tier(tier_dirs["nvme"], subgroup_size=10, **{key: value})
 
     def test_from_json_requires_top_level_key(self):
         with pytest.raises(ValueError):
