@@ -91,14 +91,14 @@ def train(root: Path, plan: FaultPlan | None):
                             iteration=iteration,
                             pfs_healthy=health.is_healthy("pfs"),
                             pfs_bytes_written=engine.tier.engine.tier_stats("pfs").bytes_written,
-                            failovers=engine.tier.failovers,
+                            failovers=health.failovers,
                             stripe_weights=str(
                                 [round(w / 1e9, 1) for w in engine.tier._stripe_weights()]
                             ),
                         )
                     )
             master = engine.fetch_master_params()
-            summary = engine.tier.health_summary()
+            summary = engine.tier.health.summary()
     finally:
         clear_faults()
     return fp16, master, timeline, summary

@@ -239,8 +239,7 @@ class MLPOffloadConfig:
     bandwidth_smoothing: float = 0.5
     #: Consecutive *fatal* engine failures after which a physical path is
     #: quarantined — flushes and prefetch plans re-route onto the surviving
-    #: paths until a recovery probe succeeds.  0 disables path health
-    #: tracking entirely.
+    #: paths until a recovery probe succeeds.  Must be >= 1.
     path_quarantine_failures: int = 3
     #: Update phases between recovery probes of a quarantined path (a small
     #: write+read+delete round trip; success re-admits the path).
@@ -284,8 +283,8 @@ class MLPOffloadConfig:
             )
         if not 0.0 < self.bandwidth_smoothing <= 1.0:
             raise ValueError("bandwidth_smoothing must be in (0, 1]")
-        if self.path_quarantine_failures < 0:
-            raise ValueError("path_quarantine_failures must be >= 0 (0 = disabled)")
+        if self.path_quarantine_failures < 1:
+            raise ValueError("path_quarantine_failures must be >= 1")
         if self.path_probe_interval < 1:
             raise ValueError("path_probe_interval must be >= 1")
 

@@ -19,170 +19,38 @@ stripe split follows the adaptive bandwidth estimates (Equation 1 applied
 within a field); the per-key manifest makes reads self-describing, so the
 split may drift between iterations.  Fields below the threshold keep the
 whole-blob single-tier layout governed by the placement map.
+
+Every path is watched by a :class:`~repro.core.path_health.PathHealth`:
+quarantined paths are routed around, and flushes or striped reads that
+die on a path recover through the rewrite and fallback read defined here.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aio.engine import (
-    AsyncIOEngine,
-    IOResult,
-    IORetryPolicy,
-    chain_io_result,
-    os_error_in_chain,
-)
+from repro.aio.engine import AsyncIOEngine, IOResult, IORetryPolicy, chain_io_result
 from repro.aio.locks import TierLockManager
 from repro.aio.microbench import probe_tiers
 from repro.core.config import MLPOffloadConfig
+from repro.core.path_health import PathHealth, recover_on_path_fatal
 from repro.core.performance_model import BandwidthEstimator, allocation_from_ratios
 from repro.core.placement import PlacementMap
 from repro.aio import backends as io_backends
 from repro.tiers import faultstore
 from repro.tiers.file_store import FileStore, StoreError, element_count
-from repro.tiers.spec import BlobStore, degraded_weights
+from repro.tiers.spec import BlobStore
 from repro.tiers.striped_store import DegradedReadError, StripedStore
 from repro.train.sharding import GRAD_FIELD, STATE_FIELDS
 from repro.util.logging import get_logger
 
 _LOG = get_logger("core.virtual_tier")
-
-#: Key prefix of the tiny recovery-probe blobs (never checkpointed).
-PROBE_KEY_PREFIX = "ioprobe"
-
-
-class PathHealth:
-    """Per-path health state machine driving degraded-mode I/O.
-
-    Installed as the :class:`AsyncIOEngine`'s observer, so every request's
-    *terminal* outcome feeds it (transient failures a retry absorbed do
-    not).  A path moves ``HEALTHY -> QUARANTINED`` after ``quarantine_after``
-    consecutive *path-fatal* failures — failures with an ``OSError`` in
-    their cause chain (device errors, ENOSPC, hung-mount timeouts).
-    Application-level store errors (missing keys, dtype mismatches,
-    malformed blobs) never count: they indict the caller or the data, not
-    the device, and counting them would quarantine healthy paths.
-
-    A quarantined path carries no new bytes: stripe plans mask it out,
-    whole-blob flushes re-route around it, and failed writes already routed
-    at it are transparently rewritten onto survivors.  Every
-    ``probe_interval`` calls of :meth:`tick` (once per update phase) the
-    path becomes due for a recovery probe — a small write/read/delete round
-    trip by the owner — whose success :meth:`admit`\\ s it back.
-
-    Thread-safe: engine I/O threads report outcomes while the training
-    thread plans and ticks.
-    """
-
-    def __init__(
-        self,
-        tier_names: Sequence[str],
-        *,
-        quarantine_after: int = 3,
-        probe_interval: int = 8,
-    ) -> None:
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1 (gate construction on 0)")
-        if probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
-        self.quarantine_after = int(quarantine_after)
-        self.probe_interval = int(probe_interval)
-        self._lock = threading.Lock()
-        self._consecutive: Dict[str, int] = {name: 0 for name in tier_names}
-        self._quarantined: Dict[str, bool] = {name: False for name in tier_names}
-        self._ticks_down: Dict[str, int] = {name: 0 for name in tier_names}
-        #: Lifetime quarantine transitions (diagnostics).
-        self.quarantine_events = 0
-        #: Lifetime successful re-admissions.
-        self.recovery_events = 0
-
-    @staticmethod
-    def is_path_fatal(error: Optional[BaseException]) -> bool:
-        """Whether ``error`` indicts the physical path (vs the caller/data)."""
-        return error is not None and os_error_in_chain(error) is not None
-
-    # -- engine observer protocol -----------------------------------------
-
-    def on_success(self, tier: str) -> None:
-        with self._lock:
-            if tier in self._consecutive and not self._quarantined[tier]:
-                self._consecutive[tier] = 0
-
-    def on_failure(self, tier: str, error: BaseException) -> None:
-        if not self.is_path_fatal(error):
-            return
-        with self._lock:
-            if tier not in self._consecutive or self._quarantined[tier]:
-                return
-            self._consecutive[tier] += 1
-            if self._consecutive[tier] >= self.quarantine_after:
-                self._do_quarantine(tier)
-
-    # -- transitions -------------------------------------------------------
-
-    def _do_quarantine(self, tier: str) -> None:
-        self._quarantined[tier] = True
-        self._ticks_down[tier] = 0
-        self.quarantine_events += 1
-        _LOG.warning("path %r quarantined after repeated fatal I/O failures", tier)
-
-    def force_quarantine(self, tier: str) -> None:
-        """Quarantine ``tier`` immediately (a failover proved it dead)."""
-        with self._lock:
-            if tier in self._quarantined and not self._quarantined[tier]:
-                self._do_quarantine(tier)
-
-    def admit(self, tier: str) -> None:
-        """Re-admit ``tier`` after a successful recovery probe."""
-        with self._lock:
-            if tier in self._quarantined and self._quarantined[tier]:
-                self._quarantined[tier] = False
-                self._consecutive[tier] = 0
-                self._ticks_down[tier] = 0
-                self.recovery_events += 1
-                _LOG.info("path %r re-admitted after successful recovery probe", tier)
-
-    # -- queries -----------------------------------------------------------
-
-    def is_healthy(self, tier: str) -> bool:
-        with self._lock:
-            return not self._quarantined.get(tier, False)
-
-    def healthy_mask(self, tier_names: Sequence[str]) -> List[bool]:
-        with self._lock:
-            return [not self._quarantined.get(name, False) for name in tier_names]
-
-    def tick(self) -> List[str]:
-        """Advance quarantine timers; returns the paths due for a probe."""
-        due = []
-        with self._lock:
-            for name, down in self._quarantined.items():
-                if not down:
-                    continue
-                self._ticks_down[name] += 1
-                if self._ticks_down[name] % self.probe_interval == 0:
-                    due.append(name)
-        return due
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            return {
-                name: {
-                    "healthy": not self._quarantined[name],
-                    "consecutive_fatal": self._consecutive[name],
-                    "ticks_quarantined": self._ticks_down[name],
-                }
-                for name in self._quarantined
-            }
-
-
 
 
 @dataclass(frozen=True)
@@ -203,6 +71,29 @@ class TierBlobRef:
     count: int
     nbytes: int
     checksum: Optional[int]
+
+
+def _recovered(
+    failed: IOResult,
+    start: float,
+    *,
+    error: Optional[BaseException] = None,
+    nbytes: int = 0,
+    array: Optional[np.ndarray] = None,
+) -> IOResult:
+    """``failed`` rewritten with the outcome of the recovery begun at ``start``."""
+    seconds = failed.seconds + (time.perf_counter() - start)
+    if error is not None:
+        return replace(failed, nbytes=0, seconds=seconds, array=None, error=error)
+    return replace(
+        failed,
+        nbytes=nbytes,
+        seconds=seconds,
+        array=array,
+        error=None,
+        attempts=failed.attempts + 1,
+        timed_out=False,
+    )
 
 
 class VirtualTier:
@@ -290,19 +181,12 @@ class VirtualTier:
                 deadline_seconds=config.io.deadline_seconds,
             ),
         )
-        self.health: Optional[PathHealth] = None
-        if config.path_quarantine_failures > 0:
-            self.health = PathHealth(
-                self.tier_names,
-                quarantine_after=config.path_quarantine_failures,
-                probe_interval=config.path_probe_interval,
-            )
-            self.engine.observer = self.health
-        #: Writes transparently re-routed off a dead path (lifetime count).
-        self.failovers = 0
-        #: Striped reads served from a whole-blob fallback copy (lifetime).
-        self.degraded_reads = 0
-        self._failover_lock = threading.Lock()
+        self.health = PathHealth(
+            self.tier_names,
+            quarantine_after=config.path_quarantine_failures,
+            probe_interval=config.path_probe_interval,
+        )
+        self.engine.observer = self.health
         self.estimator = self._build_estimator(active_tiers)
         self.placement: Optional[PlacementMap] = None
         self._pending: Dict[str, concurrent.futures.Future] = {}
@@ -396,7 +280,7 @@ class VirtualTier:
         target = tier if tier is not None else self.placement.tier_of(subgroup_id)
         # Degraded routing: never aim a whole-blob write at a quarantined
         # path (striped writes mask dead paths out via the plan weights).
-        target = self._healthy_target(target)
+        target = self.health.healthy_target(target)
         # Record the placement BEFORE submitting: a failover rewrite may
         # re-route the write and reassign from its completion callback, and
         # that reassignment must not be overwritten by this thread.
@@ -404,11 +288,7 @@ class VirtualTier:
         futures = []
         for name, array in arrays.items():
             key = self._field_key(subgroup_key, name)
-            if (
-                self.striped is not None
-                and array.nbytes >= self.config.stripe.threshold_bytes
-                and self._can_stripe()
-            ):
+            if self._stripes(array):
                 # Stripe the field across the paths; each stripe is written
                 # through the engine as an ordinary single-path write.
                 parts = self.striped.plan_save(key, array, weights=self._stripe_weights())
@@ -419,15 +299,12 @@ class VirtualTier:
                 # plan instead — the committed generation stays
                 # authoritative and the next commit's orphan sweep is
                 # re-armed for the partial stripes left behind.
-                aggregate = chain_io_result(
+                future = chain_io_result(
                     self.engine.write_multi(
                         [(p.tier, p.key, p.array) for p in parts], key=key, worker=self.worker
                     ),
                     lambda _result, k=key: self._commit_striped(k),
                     on_error=lambda _result, k=key: self.striped.abandon_save(k),
-                )
-                futures.append(
-                    self._with_write_failover(aggregate, key, array, subgroup_id)
                 )
             elif self.striped is not None and self.striped.is_striped(key):
                 # The field shrank below the threshold (or striping policy
@@ -437,26 +314,20 @@ class VirtualTier:
                 # (readers see the complete old value), so a crash anywhere
                 # in between never leaves the field without a complete
                 # representation.
-                futures.append(
-                    self._with_write_failover(
-                        chain_io_result(
-                            self.engine.write(target, key, array, worker=self.worker),
-                            lambda _result, k=key: self.striped.drop_stripes(k),
-                        ),
-                        key,
-                        array,
-                        subgroup_id,
-                    )
+                future = chain_io_result(
+                    self.engine.write(target, key, array, worker=self.worker),
+                    lambda _result, k=key: self.striped.drop_stripes(k),
                 )
             else:
-                futures.append(
-                    self._with_write_failover(
-                        self.engine.write(target, key, array, worker=self.worker),
-                        key,
-                        array,
-                        subgroup_id,
-                    )
+                future = self.engine.write(target, key, array, worker=self.worker)
+            futures.append(
+                recover_on_path_fatal(
+                    future,
+                    lambda result, k=key, a=array: self._failover_rewrite(
+                        result, k, a, subgroup_id
+                    ),
                 )
+            )
         if wait:
             for future in futures:
                 result = future.result()
@@ -482,145 +353,56 @@ class VirtualTier:
             if tier_name not in self.stripe_tier_names and self.stores[tier_name].contains(key):
                 self.stores[tier_name].delete(key)
 
-    # -- degraded-mode failover ---------------------------------------------
-
-    @staticmethod
-    def _failed_tier(result: IOResult) -> str:
-        """Which physical path a failed request indicts.
-
-        The engine stamps ``repro_tier`` onto the terminal error (for
-        striped aggregates that is the *part*'s tier, not the aggregate
-        key's); the request tier is the fallback.
-        """
-        assert result.error is not None
-        tier = getattr(result.error, "repro_tier", None)
-        return tier if tier is not None else result.request.tier
-
-    def _with_write_failover(
-        self,
-        future: concurrent.futures.Future,
-        key: str,
-        array: np.ndarray,
-        subgroup_id: int,
-    ) -> concurrent.futures.Future:
-        """Chain a degraded rewrite behind a flush future.
-
-        On a *path-fatal* terminal failure (OSError in the cause chain —
-        the engine's retry budget is already spent by then) the failing
-        path is quarantined and the payload is synchronously rewritten onto
-        the surviving paths, so the caller's ``future.result()`` still
-        reports success and training never observes the dead path.
-        Application-level errors pass through untouched.
-        """
-        if self.health is None:
-            return future
-        wrapped: concurrent.futures.Future = concurrent.futures.Future()
-
-        def _done(fut: concurrent.futures.Future) -> None:
-            try:
-                result: IOResult = fut.result()
-            except BaseException as exc:  # KeyboardInterrupt et al: propagate
-                wrapped.set_exception(exc)
-                return
-            if result.ok or not PathHealth.is_path_fatal(result.error):
-                wrapped.set_result(result)
-                return
-            try:
-                wrapped.set_result(self._failover_rewrite(result, key, array, subgroup_id))
-            except BaseException as exc:
-                wrapped.set_exception(exc)
-
-        future.add_done_callback(_done)
-        return wrapped
+    # -- degraded-mode recoveries (path_health.recover_on_path_fatal) -------
 
     def _failover_rewrite(
         self, result: IOResult, key: str, array: np.ndarray, subgroup_id: int
     ) -> IOResult:
         """Quarantine the failed path and rewrite ``key`` onto survivors.
 
-        Runs on the I/O thread completing the failed future; the rewrite
+        Runs on the I/O thread completing the failed flush; the rewrite
         goes through the stores *directly* — resubmitting into the engine
         from one of its own completion callbacks could deadlock on a full
-        submission queue.
+        submission queue.  Success reports the flush as done, so training
+        never observes the dead path.
         """
-        assert self.health is not None and self.placement is not None
-        dead = self._failed_tier(result)
-        self.health.force_quarantine(dead)
+        assert self.placement is not None
+        dead = self.health.quarantine_failed(result)
         start = time.perf_counter()
         try:
-            if (
-                self.striped is not None
-                and array.nbytes >= self.config.stripe.threshold_bytes
-                and self._can_stripe()
-            ):
+            if self._stripes(array):
                 # Re-stripe over the survivors: the degraded weights give
                 # the dead path zero extents, and save_from handles its own
                 # commit (or abandon on failure).
                 self.striped.save_from(key, array, weights=self._stripe_weights())
                 routed = "surviving stripe paths"
             else:
+                target = self.health.healthy_target(self.placement.tier_of(subgroup_id))
+                self.stores[target].save_from(key, array)
+                # Drop a stale striped layout only once the whole blob has
+                # landed: if the rewrite fails, the committed stripes stay
+                # the field's complete value.
                 if self.striped is not None:
                     self.striped.drop_stripes(key)
-                target = self._healthy_target(self.placement.tier_of(subgroup_id))
-                self.stores[target].save_from(key, array)
                 self.placement.assign(subgroup_id, target)
                 routed = f"whole blob on {target!r}"
         except Exception as exc:
             exc.__cause__ = result.error
-            return IOResult(
-                request=result.request,
-                nbytes=0,
-                seconds=result.seconds + (time.perf_counter() - start),
-                error=exc,
-                attempts=result.attempts,
-                timed_out=result.timed_out,
-            )
-        with self._failover_lock:
-            self.failovers += 1
+            return _recovered(result, start, error=exc)
+        self.health.record_failover()
         _LOG.warning("flush of %r failed over off dead path %r to %s", key, dead, routed)
-        return IOResult(
-            request=result.request,
-            nbytes=int(array.nbytes),
-            seconds=result.seconds + (time.perf_counter() - start),
-            attempts=result.attempts + 1,
-        )
-
-    def _with_degraded_read(
-        self, future: concurrent.futures.Future, key: str, out: np.ndarray
-    ) -> concurrent.futures.Future:
-        """Chain a whole-blob fallback read behind a striped fan-out read.
-
-        If a stripe path dies mid-read, any complete whole-blob copy of the
-        key on a surviving path (e.g. from an earlier unstriped placement or
-        a degraded rewrite) satisfies the read; otherwise the failure
-        surfaces as a typed :class:`DegradedReadError` naming the dead path,
-        so callers can distinguish "the device died" from data corruption.
-        """
-        if self.health is None:
-            return future
-        wrapped: concurrent.futures.Future = concurrent.futures.Future()
-
-        def _done(fut: concurrent.futures.Future) -> None:
-            try:
-                result: IOResult = fut.result()
-            except BaseException as exc:
-                wrapped.set_exception(exc)
-                return
-            if result.ok or not PathHealth.is_path_fatal(result.error):
-                wrapped.set_result(result)
-                return
-            try:
-                wrapped.set_result(self._degraded_read(result, key, out))
-            except BaseException as exc:
-                wrapped.set_exception(exc)
-
-        future.add_done_callback(_done)
-        return wrapped
+        return _recovered(result, start, nbytes=int(array.nbytes))
 
     def _degraded_read(self, result: IOResult, key: str, out: np.ndarray) -> IOResult:
-        assert self.health is not None
-        dead = self._failed_tier(result)
-        self.health.force_quarantine(dead)
+        """Serve a failed striped read from a whole-blob copy on a survivor.
+
+        Any complete whole-blob copy of the key on a surviving path (e.g.
+        from an earlier unstriped placement or a degraded rewrite) satisfies
+        the read; otherwise the failure surfaces as a typed
+        :class:`DegradedReadError` naming the dead path, so callers can
+        distinguish "the device died" from data corruption.
+        """
+        dead = self.health.quarantine_failed(result)
         start = time.perf_counter()
         for name in self.tier_names:
             if name == dead:
@@ -632,8 +414,7 @@ class VirtualTier:
                 store.load_into(key, out)
             except Exception:
                 continue
-            with self._failover_lock:
-                self.degraded_reads += 1
+            self.health.record_degraded_read()
             _LOG.warning(
                 "striped read of %r failed over to whole-blob copy on %r "
                 "(path %r quarantined)",
@@ -641,69 +422,15 @@ class VirtualTier:
                 name,
                 dead,
             )
-            return IOResult(
-                request=result.request,
-                nbytes=int(out.nbytes),
-                seconds=result.seconds + (time.perf_counter() - start),
-                array=out,
-                attempts=result.attempts + 1,
-            )
+            return _recovered(result, start, nbytes=int(out.nbytes), array=out)
         error: BaseException = DegradedReadError(key, [dead])
         error.__cause__ = result.error
-        return IOResult(
-            request=result.request,
-            nbytes=0,
-            seconds=result.seconds + (time.perf_counter() - start),
-            error=error,
-            attempts=result.attempts,
-            timed_out=result.timed_out,
-        )
-
-    def _probe_path(self, tier: str) -> bool:
-        """Recovery probe: a small write/read-back/delete round trip.
-
-        Goes through the (possibly fault-wrapped) store directly so a path
-        that is still injecting faults keeps failing the probe and stays
-        quarantined.  Success re-admits the path into planning.
-        """
-        assert self.health is not None
-        store = self.stores[tier]
-        key = f"{PROBE_KEY_PREFIX}.{self.worker}"
-        payload = np.arange(16, dtype=np.float32)
-        out = np.empty_like(payload)
-        try:
-            store.save_from(key, payload)
-            store.load_into(key, out)
-            if not np.array_equal(out, payload):
-                return False
-        except Exception:
-            return False
-        finally:
-            try:
-                if store.contains(key):
-                    store.delete(key)
-            except Exception:
-                pass
-        self.health.admit(tier)
-        return True
-
-    def health_summary(self) -> Dict[str, object]:
-        """Degraded-mode counters and per-path health for reporting."""
-        summary: Dict[str, object] = {
-            "failovers": self.failovers,
-            "degraded_reads": self.degraded_reads,
-        }
-        if self.health is not None:
-            summary["paths"] = self.health.snapshot()
-            summary["quarantine_events"] = self.health.quarantine_events
-            summary["recovery_events"] = self.health.recovery_events
-        return summary
+        return _recovered(result, start, error=error)
 
     @property
     def failover_count(self) -> int:
         """Total transparent degraded-mode recoveries (writes + reads)."""
-        with self._failover_lock:
-            return self.failovers + self.degraded_reads
+        return self.health.failover_count
 
     def prefetch_subgroup(
         self,
@@ -735,15 +462,14 @@ class VirtualTier:
                     count = element_count(shape)
                     out = np.empty(count, dtype=dtype)
                 parts = self.striped.plan_load(key, out)
-                futures[fieldname] = self._with_degraded_read(
+                futures[fieldname] = recover_on_path_fatal(
                     self.engine.read_into_multi(
                         [(p.tier, p.key, p.array) for p in parts],
                         out,
                         key=key,
                         worker=self.worker,
                     ),
-                    key,
-                    out,
+                    lambda result, k=key, o=out: self._degraded_read(result, k, o),
                 )
             elif out is not None:
                 futures[fieldname] = self.engine.read_into(tier, key, out, worker=self.worker)
@@ -900,6 +626,19 @@ class VirtualTier:
                 self.stores[tier_name].delete(key)
         self.striped.adopt_striped(key, list(segments), dtype=dtype, count=count)
 
+    def _stripes(self, array: np.ndarray) -> bool:
+        """Whether a flush of ``array`` now is written striped.
+
+        Fields at or above the stripe threshold stripe while path health
+        allows a new striped write (two healthy stripe paths, healthy
+        primary); everything else is written as a whole blob.
+        """
+        return (
+            self.striped is not None
+            and array.nbytes >= self.config.stripe.threshold_bytes
+            and self.health.can_stripe(self.stripe_tier_names)
+        )
+
     def will_stripe(self, arrays: Mapping[str, np.ndarray]) -> bool:
         """Whether flushing ``arrays`` would route any field through striping.
 
@@ -907,9 +646,7 @@ class VirtualTier:
         multi-path flush in a single tier's lease (see the deadlock note on
         :meth:`flush_subgroup`).
         """
-        return self.striped is not None and any(
-            array.nbytes >= self.config.stripe.threshold_bytes for array in arrays.values()
-        )
+        return any(self._stripes(array) for array in arrays.values())
 
     def is_striped_subgroup(self, subgroup_key: str) -> bool:
         """Whether the subgroup's state fields are currently stored striped."""
@@ -949,7 +686,8 @@ class VirtualTier:
         estimate (which undersizes asymmetric paths like an NVMe that reads
         much faster than it writes).  Tiers without a read hint fall back to
         the adaptive estimate; an equal split (``None``) is used when no
-        positive weight is available.
+        positive weight is available.  Quarantined paths are masked to
+        zero (:meth:`PathHealth.stripe_weights`).
         """
         bandwidths = self.estimator.bandwidths
         weights = []
@@ -959,51 +697,7 @@ class VirtualTier:
                 weights.append(float(hint))
             else:
                 weights.append(max(float(bandwidths.get(name, 0.0)), 0.0))
-        if self.health is not None:
-            mask = self.health.healthy_mask(self.stripe_tier_names)
-            if not all(mask):
-                # Degraded re-plan (Equation 1 over survivors): quarantined
-                # paths get weight zero so plan_stripes assigns them no
-                # extents.  degraded_weights guarantees a positive split as
-                # long as any path is healthy.
-                if sum(weights) <= 0:
-                    weights = [1.0] * len(self.stripe_tier_names)
-                return list(degraded_weights(weights, mask))
-        return weights if sum(weights) > 0 else None
-
-    def _healthy_stripe_count(self) -> int:
-        if self.health is None:
-            return len(self.stripe_tier_names)
-        return sum(self.health.healthy_mask(self.stripe_tier_names))
-
-    def _can_stripe(self) -> bool:
-        """Whether a *new* striped write currently makes sense.
-
-        Requires at least two healthy stripe paths (striping onto one path
-        is pure overhead) and a healthy primary — the manifest and epoch
-        files live on the primary, so committing through a dead primary
-        cannot succeed.
-        """
-        if self.striped is None:
-            return False
-        if self.health is None:
-            return True
-        primary = self.stripe_tier_names[0]
-        return self.health.is_healthy(primary) and self._healthy_stripe_count() >= 2
-
-    def _healthy_target(self, preferred: str) -> str:
-        """A healthy whole-blob target, preferring ``preferred``.
-
-        Falls back to the first healthy active path; if *everything* is
-        quarantined, returns ``preferred`` unchanged and lets the write fail
-        through the normal error path (there is nothing left to degrade to).
-        """
-        if self.health is None or self.health.is_healthy(preferred):
-            return preferred
-        for name in self.tier_names:
-            if self.health.is_healthy(name):
-                return name
-        return preferred
+        return self.health.stripe_weights(weights, self.stripe_tier_names)
 
     # -- feedback & accounting ---------------------------------------------
 
@@ -1016,9 +710,8 @@ class VirtualTier:
         came due — a re-admitted path rejoins stripe planning on the next
         flush.
         """
-        if self.health is not None:
-            for name in self.health.tick():
-                self._probe_path(name)
+        for name in self.health.tick():
+            self.health.probe(name, self.stores[name], self.worker)
         if not self.config.adaptive_bandwidth:
             return self.estimator.bandwidths
         for name in self.tier_names:

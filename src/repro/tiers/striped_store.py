@@ -721,26 +721,6 @@ class StripedStore(BlobStore):
         manifest = self._load_manifest(key)
         return manifest.extents if manifest is not None else None
 
-    def paths_of(self, key: str) -> Tuple[str, ...]:
-        """Backend names ``key``'s bytes currently live on (manifest included).
-
-        Striped keys report the primary (manifest) plus every path holding a
-        stripe; unstriped keys report just the primary.  The degradation
-        machinery uses this to answer "does reading this key touch the
-        quarantined path?" without issuing any I/O.
-        """
-        manifest = self._load_manifest(key)
-        if manifest is None:
-            return (self.primary.name,)
-        names = [self.primary.name]
-        for ext in manifest.extents:
-            if ext.path >= self.num_paths:
-                continue
-            name = self.backends[ext.path].name
-            if name not in names:
-                names.append(name)
-        return tuple(names)
-
     def contains(self, key: str) -> bool:
         return self.primary.contains(key) or self.is_striped(key)
 

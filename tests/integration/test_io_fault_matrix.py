@@ -95,7 +95,7 @@ def _drive(config, layout, initial, grads, *, plan=None):
                 reports.append(engine.run_update(fp16))
             master = engine.fetch_master_params()
             steps = dict(engine._steps)
-            health = engine.tier.health_summary()
+            health = engine.tier.health.summary()
         return fp16, master, steps, reports, health
     finally:
         clear_faults()
@@ -191,7 +191,7 @@ class TestDeadPathFailover:
                     engine.on_microbatch_complete()
                     engine.run_update(fp16)
                 master = engine.fetch_master_params()
-                health = engine.tier.health_summary()
+                health = engine.tier.health.summary()
                 dead = engine.tier.engine.tier_stats("pfs")
                 survivor = engine.tier.engine.tier_stats("nvme")
         finally:
@@ -368,16 +368,16 @@ class TestEvictionWriteBehindFaults:
         self, tmp_path, layout, training_inputs
     ):
         initial, grads = training_inputs
-        # No quarantine: a write that exhausts its retries is terminal
-        # instead of failing over onto the surviving path.
-        config = _cached_config(tmp_path / "fail", path_quarantine_failures=0)
+        # Subgroup 0's writes die on every path, so a write that exhausts its
+        # retries is terminal: its failover rewrite has no survivor to land on.
+        config = _cached_config(tmp_path / "fail")
         plan = arm_faults(FaultPlan())
         try:
             views = flat_views(None, layout, 0)
             with MLPOffloadEngine(config, layout, rank=0) as engine:
                 engine.initialize(initial.copy())
                 plan.add(
-                    FaultRule(kind="dead", op="write", tier="pfs", key="rank0-sg00000.*", count=0)
+                    FaultRule(kind="dead", op="write", tier="*", key="rank0-sg00000.*", count=0)
                 )
                 fp16 = initial.astype(np.float16)
                 for index, view in views.items():

@@ -130,6 +130,8 @@ def test_architecture_guide_documents_fault_tolerance():
         "FaultPlan",
         "IORetryPolicy",
         "PathHealth",
+        "core/path_health.py",
+        "recover_on_path_fatal",
         "degraded_weights",
         "DegradedReadError",
         "path_quarantine_failures",

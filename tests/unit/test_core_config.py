@@ -55,6 +55,8 @@ class TestMLPOffloadConfig:
             MLPOffloadConfig(tiers=single, host_cache_bytes=-1)
         with pytest.raises(ValueError):
             MLPOffloadConfig(tiers=single, bandwidth_smoothing=0.0)
+        with pytest.raises(ValueError, match="path_quarantine_failures"):
+            MLPOffloadConfig(tiers=single, path_quarantine_failures=0)
 
     def test_explicit_ratios_need_every_tier(self, tier_dirs):
         partial = MLPOffloadConfig(

@@ -1,12 +1,15 @@
-"""Unit tests for path-health quarantine, degraded weights and recovery probes."""
+"""Unit tests for path health: quarantine, degraded weights, probes and recovery."""
 
+import concurrent.futures
 import errno
 
 import numpy as np
 import pytest
 
 from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
-from repro.core.virtual_tier import PathHealth, VirtualTier
+from repro.aio.engine import IOKind, IORequest, IOResult
+from repro.core.path_health import PathHealth, recover_on_path_fatal
+from repro.core.virtual_tier import VirtualTier
 from repro.tiers.faultstore import FaultPlan, FaultRule, arm_faults, clear_faults
 from repro.tiers.file_store import StoreError
 from repro.tiers.spec import degraded_weights
@@ -121,6 +124,67 @@ class TestPathHealth:
         assert snap["b"]["ticks_quarantined"] == 1
 
 
+def _result(error=None):
+    request = IORequest(kind=IOKind.WRITE, tier="a", key="k")
+    return IOResult(request=request, nbytes=0 if error else 16, seconds=0.0, error=error)
+
+
+class TestRecoverOnPathFatal:
+    @staticmethod
+    def _settle(recover, *, result=None, exception=None):
+        """Wrap a pending future, then complete it with ``result``/``exception``."""
+        upstream = concurrent.futures.Future()
+        wrapped = recover_on_path_fatal(upstream, recover)
+        assert not wrapped.done()
+        if exception is not None:
+            upstream.set_exception(exception)
+        else:
+            upstream.set_result(result)
+        return wrapped
+
+    def test_success_passes_through_untouched(self):
+        calls = []
+        ok = _result()
+        assert self._settle(calls.append, result=ok).result() is ok
+        assert calls == []
+
+    def test_application_error_passes_through_untouched(self):
+        calls = []
+        failed = _result(StoreError("no blob for key 'k'"))
+        assert self._settle(calls.append, result=failed).result() is failed
+        assert calls == []
+
+    def test_path_fatal_error_is_replaced_by_the_recovery(self):
+        calls = []
+        failed, recovered = _result(_fatal()), _result()
+
+        def recover(result):
+            calls.append(result)
+            return recovered
+
+        assert self._settle(recover, result=failed).result() is recovered
+        assert calls == [failed]
+
+    def test_raising_recovery_becomes_the_exception(self):
+        def recover(result):
+            raise RuntimeError("rewrite failed too")
+
+        wrapped = self._settle(recover, result=_result(_fatal()))
+        with pytest.raises(RuntimeError, match="rewrite failed too"):
+            wrapped.result()
+
+    def test_upstream_base_exception_becomes_the_exception(self):
+        calls = []
+        wrapped = self._settle(calls.append, exception=SystemExit(3))
+        with pytest.raises(SystemExit):
+            wrapped.result()
+        assert calls == []
+
+
+#: A flush payload above the test configs' 512-byte stripe threshold.
+_BIG = {"params": np.zeros(1000, dtype=np.float32)}
+
+
 def _two_path_config(tmp_path, **overrides):
     for name in ("nvme", "pfs"):
         (tmp_path / name).mkdir(exist_ok=True)
@@ -163,9 +227,9 @@ class TestVirtualTierHealthIntegration:
             tier.flush_subgroup("sg0", 0, {"params": np.arange(4, dtype=np.float32)}, tier="pfs")
             tier.flush_subgroup("sg1", 1, {"params": np.arange(4, dtype=np.float32)}, tier="pfs")
             assert not tier.health.is_healthy("pfs")
-            assert tier.failovers >= 1
+            assert tier.health.failovers >= 1
             assert tier.placement.tier_of(0) == "nvme"
-            summary = tier.health_summary()
+            summary = tier.health.summary()
             assert summary["paths"]["pfs"]["healthy"] is False
 
     def test_stripe_weights_mask_quarantined_paths(self, tmp_path):
@@ -174,17 +238,20 @@ class TestVirtualTierHealthIntegration:
             assert tier._stripe_weights() == [6e9, 3e9]
             tier.health.force_quarantine("pfs")
             assert tier._stripe_weights() == [6e9, 0.0]
-            assert not tier._can_stripe()  # one survivor: striping is overhead
-            assert tier._healthy_target("pfs") == "nvme"
+            # one survivor: striping is overhead
+            assert not tier.health.can_stripe(tier.stripe_tier_names)
+            assert not tier.will_stripe(_BIG)  # the flush goes whole
+            assert tier.health.healthy_target("pfs") == "nvme"
             tier.health.admit("pfs")
-            assert tier._can_stripe()
-            assert tier._healthy_target("pfs") == "pfs"
+            assert tier.health.can_stripe(tier.stripe_tier_names)
+            assert tier.will_stripe(_BIG)
+            assert tier.health.healthy_target("pfs") == "pfs"
 
     def test_quarantined_primary_blocks_new_striped_writes(self, tmp_path):
         config = _two_path_config(tmp_path)
         with VirtualTier(config) as tier:
             tier.health.force_quarantine("nvme")  # the stripe primary
-            assert not tier._can_stripe()
+            assert not tier.health.can_stripe(tier.stripe_tier_names)
 
     def test_probe_readmits_after_the_path_heals(self, tmp_path):
         # The path dies for exactly 2 writes.  Write 0 is the flush (which
@@ -211,11 +278,22 @@ class TestVirtualTierHealthIntegration:
             # No probe residue may pollute the store.
             assert not any(k.startswith("ioprobe") for k in tier.stores["pfs"].keys())
 
-    def test_health_disabled_when_configured_off(self, tmp_path):
-        config = _two_path_config(tmp_path, path_quarantine_failures=0)
+    def test_failed_degraded_rewrite_keeps_the_committed_striped_value(self, tmp_path):
+        # The re-flush's pfs stripe dies (pfs quarantined, can no longer
+        # stripe) and the whole-blob rewrite onto nvme hits ENOSPC.  The
+        # flush must fail without touching the committed striped value.
+        plan = arm_faults(FaultPlan())
+        config = _two_path_config(tmp_path)
         with VirtualTier(config) as tier:
-            assert tier.health is None
-            assert tier.engine.observer is None
-            assert tier._can_stripe()
-            assert tier._healthy_target("pfs") == "pfs"
-            assert tier.health_summary() == {"failovers": 0, "degraded_reads": 0}
+            tier.build_placement([0])
+            old = np.arange(1000, dtype=np.float32)
+            tier.flush_subgroup("sg0", 0, {"params": old})
+            assert tier.is_striped_subgroup("sg0")
+            plan.add(FaultRule(kind="dead", op="write", tier="pfs", count=1))
+            plan.add(FaultRule(kind="enospc", op="write", tier="nvme", key="sg0.params", count=1))
+            with pytest.raises(OSError, match="injected device full"):
+                tier.flush_subgroup("sg0", 0, {"params": old + 1.0})
+            assert plan.injected == {"dead": 1, "enospc": 1}
+            tier.health.admit("pfs")
+            fetched = tier.fetch_subgroup("sg0", 0, ["params"])
+            np.testing.assert_array_equal(fetched["params"], old)
