@@ -292,8 +292,8 @@ class VirtualTier:
                 # Stripe the field across the paths; each stripe is written
                 # through the engine as an ordinary single-path write.
                 parts = self.striped.plan_save(key, array, weights=self._stripe_weights())
-                # Commit-after-barrier: the manifest flips to the new stripe
-                # epoch only once every stripe write has landed, chained
+                # Commit-after-barrier: the new stripe generation is
+                # published only once every stripe write has landed, chained
                 # behind the aggregate future so whoever awaits the flush
                 # also observes the commit.  A failed barrier abandons the
                 # plan instead — the committed generation stays
@@ -530,19 +530,16 @@ class VirtualTier:
             raise RuntimeError("placement not built")
         key = self._field_key(subgroup_key, fieldname)
         itemsize = int(np.dtype(dtype).itemsize)
-        if self.striped is not None and self.striped.is_striped(key):
-            extents = self.striped.extents_of(key)
-            assert extents is not None
-            epoch = self.striped.epoch_of(key)
+        stripes = self.striped.stripe_keys(key) if self.striped is not None else None
+        if stripes is not None:
             refs = []
-            for ext in extents:
+            for ext, skey in stripes:
                 if ext.path >= len(self.stripe_tier_names):
                     raise StoreError(
                         f"striped key {key!r} references path {ext.path} outside the "
                         "configured stripe set"
                     )
                 tier = self.stripe_tier_names[ext.path]
-                skey = self.striped.stripe_key(key, ext.index, epoch)
                 refs.append(
                     TierBlobRef(
                         tier=tier,

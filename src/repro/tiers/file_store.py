@@ -752,9 +752,11 @@ class FileStore(BlobStore):
     def contains(self, key: str) -> bool:
         return self._path(key).exists()
 
-    def keys(self) -> Iterator[str]:
-        """Iterate over the keys currently stored (sorted for determinism)."""
-        return iter(sorted(p.stem for p in self.root.glob("*.bin")))
+    def keys(self, prefix: str = "") -> Iterator[str]:
+        """Iterate over the stored keys starting with ``prefix`` (sorted for determinism)."""
+        with os.scandir(self.root) as entries:
+            names = [e.name for e in entries if e.name.startswith(prefix)]
+        return iter(sorted(name[:-4] for name in names if name.endswith(".bin")))
 
     def size_of(self, key: str) -> int:
         """On-store size of ``key`` in bytes."""

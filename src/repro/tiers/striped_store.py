@@ -13,14 +13,16 @@ simultaneously.
 
 On-store layout for a striped key ``k``::
 
-    <primary>/k.stripemeta.bin      int64 manifest (dtype, shape, epoch, extents)
-    <path p of stripe i>/k.stripe<i>.bin      stripe blob, epoch 0
-    <path p of stripe i>/k.e1.stripe<i>.bin   stripe blob, epoch 1
+    <primary>/k.stripemeta.bin        int64 manifest (dtype, shape, layout tag L, extents)
+    <path of stripe i>/k.g<N>.l<L>.stripe<i>.bin   stripe i of generation N
 
-Writes are commit-after-barrier: a flush targets the epoch the committed
-manifest does *not* reference, and the manifest flips only once every stripe
-blob has landed, so a crash mid-flush leaves the key reading as the complete
-previous value.
+Writes are commit-after-barrier.  Every flush writes a never-used generation
+beside the committed one and publishes it once all its stripes have landed.
+``L`` is the generation whose commit last wrote the manifest: a flush that
+keeps the recorded extents keeps ``L`` and writes no manifest, one that
+changes them tags its stripes anew and commits by rewriting the manifest.
+After a restart the committed generation is the highest one with every
+stripe present under the manifest's tag; other tags never committed.
 
 Fields below the striping threshold (or plans that degenerate to one extent
 because only one path is configured) are stored as a single whole blob under
@@ -52,8 +54,10 @@ never retains a reference afterwards.
 
 from __future__ import annotations
 
+import contextlib
+import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +73,10 @@ _LOG = get_logger("tiers.striped_store")
 MANIFEST_SUFFIX = ".stripemeta"
 #: Magic first element guarding manifest blobs against foreign int64 arrays.
 _MANIFEST_MAGIC = 0x53545250  # "STRP"
-#: The only manifest version written or accepted (carries the stripe epoch).
-_MANIFEST_VERSION = 2
+#: The only manifest version written or accepted (carries the layout tag).
+_MANIFEST_VERSION = 3
+#: Suffix of a stripe blob key after the logical key: generation, layout tag, index.
+_STRIPE_SUFFIX = re.compile(r"\.g(\d+)\.l(\d+)\.stripe(\d+)")
 
 #: Stable dtype <-> code mapping for the int64 manifest encoding.
 _DTYPE_CODES: Dict[str, int] = {name: i for i, name in enumerate(sorted(_SUPPORTED_DTYPES))}
@@ -126,10 +132,10 @@ class _Manifest:
     dtype: np.dtype
     shape: Tuple[int, ...]
     extents: Tuple[StripeExtent, ...]
-    #: Stripe epoch (0 or 1) the extents' blobs live under.  Writes
-    #: ping-pong between the two so the committed manifest always
-    #: references a complete generation.
-    epoch: int = 0
+    #: Generation whose commit wrote this layout's manifest (the on-disk tag).
+    layout: int = 0
+    #: Generation of the stripe blobs holding the value (in memory only).
+    generation: int = 0
 
     @property
     def num_elements(self) -> int:
@@ -141,7 +147,7 @@ def _encode_manifest(manifest: _Manifest) -> np.ndarray:
         _MANIFEST_MAGIC,
         _MANIFEST_VERSION,
         _DTYPE_CODES[manifest.dtype.name],
-        manifest.epoch,
+        manifest.layout,
         len(manifest.shape),
         *manifest.shape,
         len(manifest.extents),
@@ -162,9 +168,9 @@ def _decode_manifest(blob: np.ndarray, key: str) -> _Manifest:
     dtype_name = _CODE_DTYPES.get(int(data[2]))
     if dtype_name is None:
         raise StoreError(f"stripe manifest for {key!r} has unknown dtype code {int(data[2])}")
-    epoch = int(data[3])
-    if epoch < 0:
-        raise StoreError(f"stripe manifest for {key!r} has negative epoch {epoch}")
+    layout = int(data[3])
+    if layout < 0:
+        raise StoreError(f"stripe manifest for {key!r} has negative layout tag {layout}")
     ndim = int(data[4])
     offset = 5
     if ndim < 0 or data.size < offset + ndim + 1:
@@ -184,7 +190,7 @@ def _decode_manifest(blob: np.ndarray, key: str) -> _Manifest:
         )
         for i in range(nstripes)
     )
-    return _Manifest(dtype=np.dtype(dtype_name), shape=shape, extents=extents, epoch=epoch)
+    return _Manifest(dtype=np.dtype(dtype_name), shape=shape, extents=extents, layout=layout)
 
 
 class StripedStore(BlobStore):
@@ -213,8 +219,8 @@ class StripedStore(BlobStore):
         Maximum per-stripe share drift (fraction of the field) tolerated
         before a re-flush records a new layout.  Within the tolerance the
         previously recorded extents are reused, so the stripe *sizes* hold
-        steady as the adaptive bandwidth weights wobble (the manifest is
-        still rewritten every flush to flip the epoch).
+        steady as the adaptive bandwidth weights wobble and the commit
+        writes no manifest.
     name:
         Diagnostic name.
     align_bytes:
@@ -256,7 +262,10 @@ class StripedStore(BlobStore):
         self._manifests: Dict[str, _Manifest] = {}
         #: Plans awaiting their commit (key → uncommitted manifest).
         self._pending_plans: Dict[str, _Manifest] = {}
-        #: Keys whose same-epoch orphan sweep already ran this lifetime.
+        #: Per key, the lowest generation no plan has claimed yet.  A number
+        #: is never reused, so two flush attempts never share a stripe key.
+        self._next_generation: Dict[str, int] = {}
+        #: Keys whose orphan sweep already ran this lifetime.
         #: Crashed-predecessor orphans can only predate this process (or an
         #: abandoned barrier, which re-arms the sweep), so steady-state
         #: commits skip the O(stripes × backends) stat walk.
@@ -284,39 +293,44 @@ class StripedStore(BlobStore):
         return f"{key}{MANIFEST_SUFFIX}"
 
     @staticmethod
-    def stripe_key(key: str, index: int, epoch: int = 0) -> str:
-        """Blob key of stripe ``index`` under ``epoch``."""
-        if epoch == 0:
-            return f"{key}.stripe{index}"
-        return f"{key}.e{epoch}.stripe{index}"
+    def _stripes(key: str, manifest: "_Manifest") -> List[Tuple[StripeExtent, str]]:
+        """``manifest``'s ``(extent, stripe blob key)`` pairs (the one key format)."""
+        prefix = f"{key}.g{manifest.generation}.l{manifest.layout}.stripe"
+        return [(ext, f"{prefix}{ext.index}") for ext in manifest.extents]
 
-    def epoch_of(self, key: str) -> int:
-        """The committed stripe epoch of ``key`` (0 when unstriped)."""
+    def stripe_keys(self, key: str) -> Optional[List[Tuple[StripeExtent, str]]]:
+        """The committed ``(extent, stripe blob key)`` pairs of ``key``, or ``None``.
+
+        The only way for code outside this class to name stripe blobs, so
+        the key format has a single owner.
+        """
         manifest = self._load_manifest(key)
-        return manifest.epoch if manifest is not None else 0
+        return self._stripes(key, manifest) if manifest is not None else None
 
     def _account(self, tier: str, direction: str, nbytes: int) -> None:
         with self._lock:
             self._path_bytes[tier][direction] += int(nbytes)
 
-    def _sweep_stripe_orphans(
-        self, key: str, epoch: int, live: "set[Tuple[str, str]]"
-    ) -> None:
-        """Delete every ``(backend, stripe blob)`` of ``key``@``epoch`` not in ``live``.
+    def _stripe_blobs(self, key: str) -> Iterator[Tuple[FileStore, str, int, int, int]]:
+        """Every stripe blob of ``key`` on disk: ``(backend, blob key, generation, layout, index)``.
 
         Scans each backend's key listing instead of probing stripe indices —
         a crashed async fan-out can land stripes out of order, so orphans
         need not be contiguous (index-probing would stop at the first gap).
-        Cold paths only (first commit per key, delete): the scan is O(keys
-        in the directory) per backend.
+        Cold paths only (restart, first commit per key, delete): one
+        directory scan per backend.
         """
-        prefix = f"{key}.stripe" if epoch == 0 else f"{key}.e{epoch}.stripe"
         for backend in self.backends:
-            for blob_key in list(backend.keys()):
-                if not blob_key.startswith(prefix) or not blob_key[len(prefix) :].isdigit():
-                    continue
-                if (backend.name, blob_key) in live:
-                    continue
+            for blob_key in list(backend.keys(prefix=key)):
+                match = _STRIPE_SUFFIX.fullmatch(blob_key, len(key))
+                if match:
+                    generation, layout, index = (int(g) for g in match.groups())
+                    yield backend, blob_key, generation, layout, index
+
+    def _sweep_stripe_orphans(self, key: str, live: "set[Tuple[str, str]]") -> None:
+        """Delete every ``(backend, stripe blob)`` of ``key`` not in ``live``."""
+        for backend, blob_key, *_ in self._stripe_blobs(key):
+            if (backend.name, blob_key) not in live:
                 backend.delete(blob_key)
 
     def _plans_close(self, old: "_Manifest", new: "_Manifest") -> bool:
@@ -354,12 +368,38 @@ class StripedStore(BlobStore):
             if key in self._manifests:
                 return self._manifests[key]
         mkey = self.manifest_key(key)
-        manifest = None
+        manifest, claimed = None, 0
         if self.primary.contains(mkey):
             manifest = _decode_manifest(self.primary.read(mkey), key)
+            # A steady-state commit writes no manifest: the landed stripes of
+            # a generation under the recorded tag are its commit point.  So
+            # the committed generation is the highest one whose every stripe
+            # is present; stripes under any other tag never committed.  New
+            # plans number past every generation on disk, under any tag.
+            present: Dict[int, "set[Tuple[int, int]]"] = {}
+            for backend, _, generation, layout, index in self._stripe_blobs(key):
+                claimed = max(claimed, generation + 1)
+                if layout == manifest.layout:
+                    present.setdefault(generation, set()).add((self.backends.index(backend), index))
+            wanted = {(ext.path, ext.index) for ext in manifest.extents}
+            complete = [g for g, have in present.items() if wanted <= have]
+            manifest = replace(manifest, generation=max(complete, default=manifest.layout))
         with self._lock:
             self._manifests[key] = manifest
+            self._next_generation[key] = max(self._next_generation.get(key, 0), claimed)
         return manifest
+
+    def _new_plan(self, key: str, dtype, shape, extents) -> _Manifest:
+        """A plan of ``key`` whose fresh generation is also its layout tag.
+
+        The generation is past the committed one and past every generation
+        an earlier (crashed, abandoned) plan used.
+        """
+        old = self._load_manifest(key)
+        with self._lock:
+            generation = max(self._next_generation.get(key, 0), old.generation + 1 if old else 0)
+            self._next_generation[key] = generation + 1
+        return _Manifest(np.dtype(dtype), tuple(shape), tuple(extents), generation, generation)
 
     def _forget_manifest(self, key: str) -> None:
         with self._lock:
@@ -372,8 +412,8 @@ class StripedStore(BlobStore):
     ) -> List[StripePart]:
         """Plan a striped write of ``key``; return the per-stripe work items.
 
-        The parts target the stripe epoch the committed manifest does *not*
-        reference, and nothing is published: the caller (typically
+        The parts target the generation after the committed one, and nothing
+        is published: the caller (typically
         :class:`~repro.core.virtual_tier.VirtualTier`) executes the returned
         parts — sequentially or through the async engine; writes are
         single-path per stripe either way — and then calls
@@ -398,28 +438,20 @@ class StripedStore(BlobStore):
             align_bytes=self.align_bytes,
         )
         old = self._load_manifest(key)
+        manifest = self._new_plan(key, contiguous.dtype, contiguous.shape, extents)
         # Steady state re-flushes a key with unchanged geometry and nearly
         # unchanged weights (the adaptive estimator drifts a little every
-        # iteration), so the re-plan tolerance reuses the recorded extents —
-        # stabilizing stripe sizes across epoch flips.
-        epoch = 0 if old is None else (1 if old.epoch == 0 else 0)
-        manifest = _Manifest(
-            dtype=contiguous.dtype, shape=contiguous.shape, extents=extents, epoch=epoch
-        )
+        # iteration), so the re-plan tolerance reuses the recorded layout —
+        # stable stripe sizes, and a commit that writes no manifest.
         if old is not None and self._plans_close(old, manifest):
-            manifest = _Manifest(
-                dtype=old.dtype, shape=old.shape, extents=old.extents, epoch=epoch
-            )
+            manifest = replace(old, generation=manifest.generation)
         with self._lock:
             self._pending_plans[key] = manifest
         parts = []
-        for ext in manifest.extents:
+        for ext, stripe in self._stripes(key, manifest):
             backend = self.backends[ext.path]
             part = StripePart(
-                tier=backend.name,
-                key=self.stripe_key(key, ext.index, manifest.epoch),
-                array=flat[ext.start : ext.stop],
-                extent=ext,
+                tier=backend.name, key=stripe, array=flat[ext.start : ext.stop], extent=ext
             )
             self._account(backend.name, "written", part.array.nbytes)
             parts.append(part)
@@ -429,60 +461,64 @@ class StripedStore(BlobStore):
         """Publish the pending plan of ``key`` (the write barrier's tail).
 
         Must only be called once every stripe write of the matching
-        :meth:`plan_save` has landed.  Atomically rewrites the manifest to
-        the new epoch (``FileStore`` writes are temp-file + ``os.replace``,
-        so the flip is all-or-nothing), then sweeps what the new generation
-        obsoletes.  The previous epoch's stripe blobs are swept on every
-        commit (they are created every flush); stale *whole* blobs and
-        same-epoch crash orphans can only predate this process — or a
-        downgrade/abandoned barrier, which re-arm the sweep — so that scan
-        runs once per key per lifetime.  Returns whether this commit ran the
-        once-per-key sweep (callers covering stores outside this composite
-        gate their own sweep on it).
+        :meth:`plan_save` has landed.  A plan under a new layout tag commits
+        by atomically rewriting the manifest (temp-file + ``os.replace``); a
+        plan that kept the recorded layout is already committed on disk by
+        its landed stripes.  Then the new generation is published in memory
+        and the previous one's stripe blobs are deleted.  Stale whole blobs
+        and crash orphans can only predate this process — or a downgrade or
+        abandoned barrier, which re-arm the sweep — so it runs once per key
+        per lifetime: stripe orphans before the manifest write, whole blobs
+        after it.  Returns whether this commit ran that sweep (callers
+        covering stores outside this composite gate their own sweep on it).
         """
         with self._lock:
             pending = self._pending_plans.pop(key, None)
         if pending is None:
             raise StoreError(f"store {self.name!r} has no pending striped plan for {key!r}")
         old = self._load_manifest(key)
-        self.primary.save_from(self.manifest_key(key), _encode_manifest(pending))
+        committed = self._stripes(key, old) if old is not None else []
+        with self._lock:
+            sweep = key not in self._orphan_swept
+        if sweep:
+            # Orphans go before a new manifest can name their layout tag (a
+            # stale generation under it would otherwise win the restart rule).
+            live = {
+                (self.backends[ext.path].name, stripe)
+                for ext, stripe in committed + self._stripes(key, pending)
+                if ext.path < self.num_paths
+            }
+            self._sweep_stripe_orphans(key, live)
+        if old is None or old.layout != pending.layout:
+            self.primary.save_from(self.manifest_key(key), _encode_manifest(pending))
         with self._lock:
             self._manifests[key] = pending
-            sweep = key not in self._orphan_swept
             self._orphan_swept.add(key)
-        if old is not None and old.epoch != pending.epoch:
-            for ext in old.extents:
-                if ext.path >= self.num_paths:
-                    continue
-                backend = self.backends[ext.path]
-                stale = self.stripe_key(key, ext.index, old.epoch)
-                if backend.contains(stale):
-                    backend.delete(stale)
+        for ext, stale in committed:
+            if ext.path < self.num_paths and self.backends[ext.path].contains(stale):
+                self.backends[ext.path].delete(stale)
         if sweep:
             for backend in self.backends:
                 if backend.contains(key):
                     backend.delete(key)
-            live = {
-                (
-                    self.backends[ext.path].name,
-                    self.stripe_key(key, ext.index, pending.epoch),
-                )
-                for ext in pending.extents
-            }
-            self._sweep_stripe_orphans(key, pending.epoch, live)
         return sweep
 
     def abandon_save(self, key: str) -> None:
         """Drop the pending plan of ``key`` (failed write barrier).
 
-        The committed manifest — and therefore every reader — is untouched;
-        stripe blobs the failed flush already wrote become orphans of the
-        uncommitted epoch, swept by the next successful commit (whose
-        orphan walk is re-armed here).
+        The committed generation — and therefore every reader — is
+        untouched.  The stripe blobs the failed flush already wrote are
+        deleted, so a restart can never serve a plan this process gave up
+        on; one that cannot be deleted now is left to the next successful
+        commit's orphan walk, re-armed here.  The plan's generation stays
+        claimed: the next plan writes to fresh keys.
         """
         with self._lock:
-            self._pending_plans.pop(key, None)
+            pending = self._pending_plans.pop(key, None)
             self._orphan_swept.discard(key)
+        for ext, stripe in self._stripes(key, pending) if pending is not None else ():
+            with contextlib.suppress(OSError, StoreError):  # not landed, or path down
+                self.backends[ext.path].delete(stripe)
 
     def adopt_striped(
         self,
@@ -499,7 +535,8 @@ class StripedStore(BlobStore):
         on its tiers with zero bytes copied.  ``stripes`` is the ordered
         stripe list: ``(backend_name, source_path, start, count, checksum)``
         per stripe, contiguous and covering ``[0, count)`` elements.  The
-        manifest is committed only after every link exists (the same
+        links form a new generation under a new layout tag, whose manifest
+        is committed only after every link exists (the same
         commit-after-barrier discipline as a flush).
         """
         names = {backend.name: i for i, backend in enumerate(self.backends)}
@@ -518,15 +555,11 @@ class StripedStore(BlobStore):
             raise StoreError(
                 f"striped adopt of {key!r}: stripes cover {expected_start} of {count} elements"
             )
-        old = self._load_manifest(key)
-        epoch = 0 if old is None else (1 if old.epoch == 0 else 0)
-        manifest = _Manifest(
-            dtype=np.dtype(dtype), shape=(int(count),), extents=tuple(extents), epoch=epoch
-        )
-        for i, (tier, source_path, _, _, checksum) in enumerate(stripes):
-            self.backends[names[tier]].adopt(
-                self.stripe_key(key, i, epoch), source_path, checksum=checksum
-            )
+        manifest = self._new_plan(key, dtype, (int(count),), extents)
+        for (ext, stripe), (_, source_path, _, _, checksum) in zip(
+            self._stripes(key, manifest), stripes
+        ):
+            self.backends[ext.path].adopt(stripe, source_path, checksum=checksum)
         with self._lock:
             self._pending_plans[key] = manifest
         self.commit_save(key)
@@ -559,14 +592,9 @@ class StripedStore(BlobStore):
             )
         views = scatter_views(out.reshape(-1), manifest.extents)
         parts = []
-        for ext, view in zip(manifest.extents, views):
+        for (ext, stripe), view in zip(self._stripes(key, manifest), views):
             backend = self._backend_for(ext, key)
-            part = StripePart(
-                tier=backend.name,
-                key=self.stripe_key(key, ext.index, manifest.epoch),
-                array=view,
-                extent=ext,
-            )
+            part = StripePart(tier=backend.name, key=stripe, array=view, extent=ext)
             self._account(backend.name, "read", part.array.nbytes)
             parts.append(part)
         return parts
@@ -582,17 +610,21 @@ class StripedStore(BlobStore):
         whole to the primary — producing exactly the bytes a plain
         :class:`FileStore` would.  Above it, one blob per stripe is written
         *sequentially* (single-path writes; the async engine's
-        ``write_multi`` is the concurrent fan-out) and the manifest is
-        committed behind them.  Returns the total payload+header bytes
-        written, stripes and manifest included.
+        ``write_multi`` is the concurrent fan-out) and committed behind
+        them.  Returns the total payload+header bytes of the blobs holding
+        the value (the manifest, rewritten only on a layout change, is not
+        counted).
 
         The caller keeps ownership of ``array``; it is never retained.
         """
         contiguous = np.ascontiguousarray(array)
         if self.num_paths == 1 or contiguous.nbytes < self.threshold_bytes:
-            self.drop_stripes(key)
             self._account(self.primary.name, "written", contiguous.nbytes)
-            return self.primary.save_from(key, contiguous)
+            # Land the whole blob before dropping the stripes: if the write
+            # fails, the committed striped value stays readable.
+            written = self.primary.save_from(key, contiguous)
+            self.drop_stripes(key)
+            return written
         parts = self.plan_save(key, contiguous, weights=weights)
         total = 0
         try:
@@ -602,7 +634,7 @@ class StripedStore(BlobStore):
             self.abandon_save(key)
             raise
         self.commit_save(key)
-        return total + self.primary.size_of(self.manifest_key(key))
+        return total
 
     def load_into(self, key: str, out: np.ndarray) -> np.ndarray:
         """Zero-copy read of ``key`` into the caller-owned ``out``.
@@ -653,13 +685,14 @@ class StripedStore(BlobStore):
     ) -> int:
         """Bring an existing *whole* blob file under ``key`` on the primary.
 
-        Any striped representation of ``key`` is dropped first so readers
-        cannot observe both (the mirror image of :meth:`save_from`'s
-        below-threshold path); use :meth:`adopt_striped` to adopt a striped
-        layout stripe by stripe.
+        Any striped representation of ``key`` is dropped once the whole blob
+        is in place, so a failed adopt keeps the committed value (the mirror
+        image of :meth:`save_from`'s below-threshold path); use
+        :meth:`adopt_striped` to adopt a striped layout stripe by stripe.
         """
+        total = self.primary.adopt(key, source_path, checksum=checksum)
         self.drop_stripes(key)
-        return self.primary.adopt(key, source_path, checksum=checksum)
+        return total
 
     def path_of(self, key: str):
         """Filesystem path of ``key``'s whole blob (striped keys have none).
@@ -742,24 +775,17 @@ class StripedStore(BlobStore):
         :meth:`delete` and by callers downgrading a key to a whole blob
         (e.g. a field that shrank below the striping threshold)."""
         self.abandon_save(key)
-        manifest = self._load_manifest(key)
-        if manifest is None:
+        if self._load_manifest(key) is None:
             return False
-        for ext in manifest.extents:
-            if ext.path >= self.num_paths:
-                continue  # backend no longer configured; nothing reachable to delete
-            backend = self.backends[ext.path]
-            skey = self.stripe_key(key, ext.index, manifest.epoch)
-            if backend.contains(skey):
-                backend.delete(skey)
-        # Orphan stripes of the *other* (uncommitted) epoch, left by a
-        # crashed flush that never committed: sweep them too (key scan — a
-        # crashed async fan-out can leave non-contiguous indices).
-        self._sweep_stripe_orphans(key, 1 if manifest.epoch == 0 else 0, set())
+        # Manifest first: a crash after it leaves orphan stripes (swept by
+        # the key's next striped commit), never a manifest without stripes.
         mkey = self.manifest_key(key)
         if self.primary.contains(mkey):
             self.primary.delete(mkey)
         self._forget_manifest(key)
+        # Every stripe blob of the key — committed generation and crash
+        # orphans alike — in one listing per configured backend.
+        self._sweep_stripe_orphans(key, set())
         return True
 
     def keys(self) -> Iterator[str]:

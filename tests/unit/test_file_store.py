@@ -37,6 +37,11 @@ class TestRoundTrip:
         store.write("b", np.zeros(1, dtype=np.float32))
         store.write("a", np.zeros(1, dtype=np.float32))
         assert list(store.keys()) == ["a", "b"]
+        store.write("ab", np.zeros(1, dtype=np.float32))
+        (tmp_path / "tier" / "a.bin.1.1.tmp").write_bytes(b"")  # an in-flight temp file
+        assert list(store.keys(prefix="a")) == ["a", "ab"]
+        assert list(store.keys(prefix="c")) == []
+        store.delete("ab")
         assert store.contains("a")
         store.delete("a")
         assert not store.contains("a")

@@ -1,4 +1,4 @@
-"""Crash-safe striped flush: epoch keys, commit-after-barrier, recovery.
+"""Crash-safe striped flush: generation keys, commit-after-barrier, recovery.
 
 The contract: a striped key always reads as either the complete previous
 value or the complete new value — a crash anywhere
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.tiers.file_store import FileStore, StoreError, payload_digest
-from repro.tiers.striped_store import StripedStore
+from repro.tiers.striped_store import MANIFEST_SUFFIX, StripedStore
 
 
 @pytest.fixture
@@ -44,25 +44,42 @@ def reopen(backends, **kwargs):
     )
 
 
+def stripe_blobs(backends):
+    """Every stripe blob on disk, as ``(backend name, blob key)``."""
+    return {
+        (b.name, k)
+        for b in backends
+        for k in FileStore(b.root, name=b.name).keys()
+        if ".stripe" in k and not k.endswith(MANIFEST_SUFFIX)
+    }
+
+
+def live_stripes(store, key):
+    """The ``(backend name, blob key)`` of ``key``'s committed stripes."""
+    return {(store.backends[ext.path].name, stripe) for ext, stripe in store.stripe_keys(key)}
+
+
+def land(store, parts):
+    """Write planned stripe parts without committing (a flush that crashes)."""
+    for part in parts:
+        store._backend_by_name(part.tier).save_from(part.key, part.array)
+
+
 class TestCrashSafeCommit:
-    def test_round_trip_and_epoch_flip(self, striped, backends, rng):
+    def test_round_trip_and_generation_advance(self, striped, backends, rng):
         first = rng.standard_normal(1000).astype(np.float32)
         second = rng.standard_normal(1000).astype(np.float32)
         striped.save_from("k", first)
-        assert striped.epoch_of("k") == 0
         np.testing.assert_array_equal(striped.read("k"), first)
-        striped.save_from("k", second)
-        assert striped.epoch_of("k") == 1
-        np.testing.assert_array_equal(striped.read("k"), second)
-        # The previous epoch's stripe blobs were swept at commit.
-        for backend in backends:
-            assert not any(
-                k.startswith("k.stripe") and not k.startswith("k.stripemeta")
-                for k in backend.keys()
-            ), "epoch-0 stripes survived the epoch-1 commit"
-        # And the epoch ping-pongs back.
-        striped.save_from("k", first)
-        assert striped.epoch_of("k") == 0
+        previous = live_stripes(striped, "k")
+        for value in (second, first):
+            striped.save_from("k", value)
+            np.testing.assert_array_equal(striped.read("k"), value)
+            current = live_stripes(striped, "k")
+            assert current.isdisjoint(previous), "a flush overwrote the committed generation"
+            # The previous generation's stripe blobs were swept at commit.
+            assert stripe_blobs(backends) == current, "the previous generation survived"
+            previous = current
 
     @pytest.mark.parametrize(
         "store_kwargs, elements",
@@ -96,45 +113,131 @@ class TestCrashSafeCommit:
         committed = rng.standard_normal(1000).astype(np.float32)
         doomed = rng.standard_normal(1000).astype(np.float32)
         final = rng.standard_normal(1000).astype(np.float32)
-        striped.save_from("k", committed)  # epoch 0
-        parts = striped.plan_save("k", doomed)  # plans epoch 1
-        for part in parts:
-            striped._backend_by_name(part.tier).save_from(part.key, part.array)
-        # crash: no commit.  Restart and complete a full flush (epoch 1 again).
+        striped.save_from("k", committed)
+        land(striped, striped.plan_save("k", doomed))
+        # crash: no commit.  Restart and complete a full flush.
         survivor = reopen(backends)
         survivor.save_from("k", final)
-        assert survivor.epoch_of("k") == 1
         np.testing.assert_array_equal(survivor.read("k"), final)
         # No stripe blob of any other generation survives.
-        expected = {
-            part.key for part in survivor.plan_load("k", np.empty(1000, np.float32))
-        }
-        on_disk = {
-            k for b in backends for k in FileStore(b.root, name=b.name).keys()
-            if ".stripe" in k and not k.endswith(".stripemeta")
-        }
+        expected = live_stripes(survivor, "k")
+        on_disk = stripe_blobs(backends)
         assert on_disk == expected, f"orphan stripes survived: {on_disk - expected}"
 
-    def test_non_contiguous_crash_orphans_are_swept(self, striped, backends, rng):
+    # 1000 elements keep the committed layout (a steady-state flush); 1200
+    # elements re-plan under a new layout tag.
+    @pytest.mark.parametrize("doomed_elements", [1000, 1200])
+    def test_non_contiguous_crash_orphans_are_swept(self, backends, rng, doomed_elements):
         """An async fan-out lands stripes out of order: a crash can leave
-        index gaps (stripe 2 without stripe 1).  The sweep must not stop at
-        the first gap."""
+        index gaps (stripe 2 without stripe 1).  The restart must not take
+        the gapped generation for a complete one, and the sweep must not
+        stop at the first gap."""
+        striped = StripedStore(backends, threshold_bytes=256, stripe_bytes=1000)
         committed = rng.standard_normal(1000).astype(np.float32)
-        striped.save_from("k", committed)  # epoch 0
-        # Crashed epoch-1 attempt: only stripes 0 and 2 landed (no stripe 1).
-        backends[0].save_from("k.e1.stripe0", np.arange(8, dtype=np.float32))
-        backends[1].save_from("k.e1.stripe2", np.arange(8, dtype=np.float32))
-        survivor = reopen(backends)
+        striped.save_from("k", committed)
+        parts = striped.plan_save("k", rng.standard_normal(doomed_elements).astype(np.float32))
+        assert len(parts) >= 4
+        land(striped, [parts[0], parts[2]])  # crashed: stripe 1 never landed
+        survivor = reopen(backends, stripe_bytes=1000)
         np.testing.assert_array_equal(survivor.read("k"), committed)
         final = rng.standard_normal(1000).astype(np.float32)
-        survivor.save_from("k", final)  # commits epoch 1
+        survivor.save_from("k", final)
         np.testing.assert_array_equal(survivor.read("k"), final)
-        live = {part.key for part in survivor.plan_load("k", np.empty(1000, np.float32))}
-        on_disk = {
-            k for b in backends for k in FileStore(b.root, name=b.name).keys()
-            if ".stripe" in k and not k.endswith(".stripemeta")
-        }
+        live = live_stripes(survivor, "k")
+        on_disk = stripe_blobs(backends)
         assert on_disk == live, f"gap orphans survived: {on_disk - live}"
+
+    def test_steady_state_reflush_writes_only_its_stripes(self, striped, backends, rng):
+        """Once a key's layout is committed, a re-flush with unchanged
+        weights costs the primary its own stripe writes and nothing more:
+        no manifest rewrite on the throttled path."""
+        striped.save_from("k", rng.standard_normal(1000).astype(np.float32), weights=[1, 1])
+        before = backends[0].stats()
+        for _ in range(5):
+            value = rng.standard_normal(1000).astype(np.float32)
+            striped.save_from("k", value, weights=[1, 1])
+            np.testing.assert_array_equal(striped.read("k"), value)
+        after = backends[0].stats()
+        primary = [s for ext, s in striped.stripe_keys("k") if ext.path == 0]
+        assert after.write_ops - before.write_ops == 5 * len(primary)
+        assert after.bytes_written - before.bytes_written == 5 * sum(
+            backends[0].size_of(s) for s in primary
+        )
+        np.testing.assert_array_equal(reopen(backends).read("k"), value)
+
+    def test_layout_change_without_manifest_reads_previous_value(
+        self, striped, backends, rng
+    ):
+        """A re-plan lands every stripe under its new layout tag, then the
+        process dies before the manifest write: the old layout is still the
+        committed one, and the new-tag stripes are orphans."""
+        committed = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed, weights=[1, 1])
+        parts = striped.plan_save(
+            "k", rng.standard_normal(1000).astype(np.float32), weights=[1, 3]
+        )
+        land(striped, parts)
+        np.testing.assert_array_equal(striped.read("k"), committed)
+        survivor = reopen(backends)
+        np.testing.assert_array_equal(survivor.read("k"), committed)
+        assert [ext.count for ext in survivor.extents_of("k")] == [500, 500]
+        final = rng.standard_normal(1000).astype(np.float32)
+        survivor.save_from("k", final, weights=[1, 1])
+        np.testing.assert_array_equal(survivor.read("k"), final)
+        assert stripe_blobs(backends) == live_stripes(survivor, "k")
+
+    @pytest.mark.parametrize("deleted", [0, 1])
+    def test_restart_between_landing_and_deleting_previous_generation(
+        self, striped, backends, rng, deleted
+    ):
+        """Every stripe of the next generation landed under the committed
+        tag, and the commit died before (or while) deleting the previous
+        generation: the highest complete generation is the key's value."""
+        committed = rng.standard_normal(1000).astype(np.float32)
+        newer = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed)
+        previous = striped.stripe_keys("k")
+        land(striped, striped.plan_save("k", newer))
+        for ext, stale in previous[:deleted]:
+            backends[ext.path].delete(stale)
+        survivor = reopen(backends)
+        np.testing.assert_array_equal(survivor.read("k"), newer)
+        final = rng.standard_normal(1000).astype(np.float32)
+        survivor.save_from("k", final)
+        np.testing.assert_array_equal(survivor.read("k"), final)
+        assert stripe_blobs(backends) == live_stripes(survivor, "k")
+
+    def test_two_crashed_attempts_never_mix_their_stripes(self, striped, backends, rng):
+        """Two consecutive flushes crash after landing complementary stripes.
+        Each attempt gets its own generation, so the restart cannot assemble
+        a complete generation out of both."""
+        committed = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed)
+        land(striped, striped.plan_save("k", rng.standard_normal(1000).astype(np.float32))[:1])
+        survivor = reopen(backends)
+        land(survivor, survivor.plan_save("k", rng.standard_normal(1000).astype(np.float32))[1:])
+        np.testing.assert_array_equal(reopen(backends).read("k"), committed)
+
+    def test_abandoned_flush_leaves_nothing_a_restart_could_serve(
+        self, striped, backends, rng
+    ):
+        """A failed flush is abandoned in-process: neither its partial
+        stripes plus a later crashed attempt's, nor a plan whose stripes all
+        landed before it was abandoned, may become the value after a
+        restart."""
+        committed = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed)
+        backends[1].capacity = 10  # stripe 0 lands on nvme, stripe 1 fails
+        with pytest.raises(StoreError):
+            striped.save_from("k", rng.standard_normal(1000).astype(np.float32))
+        backends[1].capacity = None
+        land(striped, striped.plan_save("k", rng.standard_normal(1000).astype(np.float32))[1:])
+        np.testing.assert_array_equal(reopen(backends).read("k"), committed)
+        survivor = reopen(backends)
+        land(survivor, survivor.plan_save("k", rng.standard_normal(1000).astype(np.float32)))
+        survivor.abandon_save("k")
+        np.testing.assert_array_equal(survivor.read("k"), committed)
+        np.testing.assert_array_equal(reopen(backends).read("k"), committed)
 
     def test_first_striped_write_crash_keeps_whole_blob(self, striped, backends, rng):
         """A key upgrading whole-blob → striped must keep the whole blob
@@ -169,6 +272,54 @@ class TestCrashSafeCommit:
         with pytest.raises(StoreError, match="pending"):
             striped.commit_save("k")  # the failed plan was abandoned
 
+    def test_crashed_downgrade_orphans_never_shadow_a_fresh_layout(
+        self, striped, backends, rng, monkeypatch
+    ):
+        """A downgrade deletes the manifest before the stripes, so a crash
+        between the two leaves a readable whole blob beside complete orphan
+        stripes.  The key's next striped layout restarts its generations and
+        must not let those orphans win the restart rule, even when it dies
+        right after writing its manifest."""
+        for _ in range(3):
+            striped.save_from("k", rng.standard_normal(1000).astype(np.float32))
+        whole = rng.standard_normal(16).astype(np.float32)
+        backends[0].save_from("k", whole)
+        backends[0].delete(striped.manifest_key("k"))  # crash mid-drop_stripes
+        survivor = reopen(backends)
+        np.testing.assert_array_equal(survivor.read("k"), whole)
+        fresh = rng.standard_normal(1000).astype(np.float32)
+        real_delete = survivor.primary.delete
+
+        def die_at_whole_blob_sweep(key):
+            if key == "k":
+                raise RuntimeError("crash after the manifest write")
+            real_delete(key)
+
+        monkeypatch.setattr(survivor.primary, "delete", die_at_whole_blob_sweep)
+        with pytest.raises(RuntimeError, match="crash"):
+            survivor.save_from("k", fresh)
+        np.testing.assert_array_equal(reopen(backends).read("k"), fresh)
+
+    def test_failed_whole_blob_rewrite_keeps_the_striped_value(self, striped, backends, rng):
+        """A field shrinking below the threshold is rewritten whole; if that
+        write fails, the committed stripes must still be the key's value."""
+        committed = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed)
+        backends[0].capacity = 10
+        with pytest.raises(StoreError):
+            striped.save_from("k", rng.standard_normal(16).astype(np.float32))
+        backends[0].capacity = None
+        np.testing.assert_array_equal(striped.read("k"), committed)
+        np.testing.assert_array_equal(reopen(backends).read("k"), committed)
+
+    def test_failed_adopt_keeps_the_striped_value(self, striped, backends, rng, tmp_path):
+        committed = rng.standard_normal(1000).astype(np.float32)
+        striped.save_from("k", committed)
+        with pytest.raises(StoreError, match="does not exist"):
+            striped.adopt("k", tmp_path / "missing.bin")
+        np.testing.assert_array_equal(striped.read("k"), committed)
+        np.testing.assert_array_equal(reopen(backends).read("k"), committed)
+
     def test_commit_without_plan_raises(self, striped):
         with pytest.raises(StoreError, match="pending"):
             striped.commit_save("nope")
@@ -176,12 +327,17 @@ class TestCrashSafeCommit:
     def test_version_1_manifest_is_rejected(self, striped, backends, rng):
         striped.save_from("k", rng.standard_normal(1000).astype(np.float32))
         mkey = striped.manifest_key("k")
-        v2 = backends[0].read(mkey)
-        # magic, version, dtype code, [epoch,] ndim, shape..., nstripes, extents...
-        v1 = np.concatenate([v2[:1], [1], v2[2:3], v2[4:]]).astype(np.int64)
-        backends[0].save_from(mkey, v1)
-        with pytest.raises(StoreError, match="unsupported version 1"):
-            reopen(backends).read("k")
+        v3 = backends[0].read(mkey)
+        # magic, version, dtype code, [layout tag,] ndim, shape..., nstripes, extents...
+        # Version 2 has the same shape but its slot 3 is a 0/1 stripe epoch.
+        older = {
+            1: np.concatenate([v3[:1], [1], v3[2:3], v3[4:]]),
+            2: np.concatenate([v3[:1], [2], v3[2:]]),
+        }
+        for version, blob in older.items():
+            backends[0].save_from(mkey, blob.astype(np.int64))
+            with pytest.raises(StoreError, match=f"unsupported version {version}"):
+                reopen(backends).read("k")
 
 
 class TestVirtualTierCrashSafeFlush:
@@ -216,12 +372,17 @@ class TestVirtualTierCrashSafeFlush:
         fetched = tier.fetch_subgroup("sg000", 0, ["params"])
         np.testing.assert_array_equal(fetched["params"], data)
 
-    def test_reflush_flips_epoch_and_stays_readable(self, tier, rng):
+    def test_reflush_advances_generation_and_stays_readable(self, tier, rng):
         first = rng.standard_normal(1000).astype(np.float32)
         second = rng.standard_normal(1000).astype(np.float32)
         tier.flush_subgroup("sg000", 0, {"params": first}, wait=True)
+        previous = tier.striped.stripe_keys("sg000.params")
         tier.flush_subgroup("sg000", 0, {"params": second}, wait=True)
-        assert tier.striped.epoch_of("sg000.params") == 1
+        current = tier.striped.stripe_keys("sg000.params")
+        assert {s for _, s in current}.isdisjoint(s for _, s in previous)
+        assert not any(
+            tier.stores[tier.stripe_tier_names[ext.path]].contains(s) for ext, s in previous
+        )
         fetched = tier.fetch_subgroup("sg000", 0, ["params"])
         np.testing.assert_array_equal(fetched["params"], second)
 

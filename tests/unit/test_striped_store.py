@@ -125,8 +125,12 @@ class TestStripedStoreRoundTrip:
         striped.save_from("k", data)
         assert striped.is_striped("k")
         # Both paths hold exactly one stripe blob; the manifest sits on the primary.
-        assert any(k.startswith("k.stripe") for k in backends[0].keys())
-        assert any(k.startswith("k.stripe") for k in backends[1].keys())
+        stripes = striped.stripe_keys("k")
+        assert [ext.path for ext, _ in stripes] == [0, 1]
+        for ext, stripe in stripes:
+            assert [k for k in backends[ext.path].keys() if k != "k" + MANIFEST_SUFFIX] == [
+                stripe
+            ]
         assert backends[0].contains("k" + MANIFEST_SUFFIX)
         np.testing.assert_array_equal(striped.read("k"), data)
 
@@ -153,8 +157,10 @@ class TestStripedStoreRoundTrip:
     def test_weights_skew_the_split(self, striped, backends, rng):
         data = rng.standard_normal(1000).astype(np.float32)
         striped.save_from("k", data, weights=[3.0, 1.0])
-        nvme_stripe = backends[0].read("k.stripe0")
-        pfs_stripe = backends[1].read("k.stripe1")
+        (nvme_ext, nvme_key), (pfs_ext, pfs_key) = striped.stripe_keys("k")
+        assert (nvme_ext.path, pfs_ext.path) == (0, 1)
+        nvme_stripe = backends[0].read(nvme_key)
+        pfs_stripe = backends[1].read(pfs_key)
         assert nvme_stripe.size == 750
         assert pfs_stripe.size == 250
         np.testing.assert_array_equal(np.concatenate([nvme_stripe, pfs_stripe]), data)
@@ -173,7 +179,8 @@ class TestStripedStoreRoundTrip:
         small = rng.standard_normal(16).astype(np.float32)
         striped.save_from("k", small)
         assert not striped.is_striped("k")
-        assert not any(k.startswith("k.stripe") for k in backends[1].keys())
+        assert list(backends[0].keys()) == ["k"]
+        assert list(backends[1].keys()) == []
         np.testing.assert_array_equal(striped.read("k"), small)
 
     def test_delete_removes_manifest_and_stripes(self, striped, backends, rng):
