@@ -10,17 +10,15 @@ cannot drift from the original figure.
 """
 
 from repro.bench import experiments
-from repro.sweep import SweepRunner, figure_result, matrix_by_name
+from repro.sim.sweep import compare_engines
+from repro.tiers.spec import TESTBED_2
+from repro.train.model_zoo import model_by_name
+from repro.train.parallelism import ParallelTopology
 
 
-def test_fig11_weak_scaling_time(benchmark, show, tmp_path):
-    matrix = matrix_by_name("weak_scaling")
-
-    def sweep():
-        runner = SweepRunner(matrix, repeats=1, sweep_dir=tmp_path / "cells")
-        return figure_result(matrix, runner.run().records)
-
-    result = benchmark(sweep)
+def test_fig11_weak_scaling_time(benchmark, show, sweep_figure):
+    result = benchmark(sweep_figure, "weak_scaling")
+    result.add_note("paper: MLP-Offload stays ~2x faster than ZeRO-3 up to 32 GPUs / 280B")
     show(result)
     # The sweep port reproduces the pre-port figure exactly, field for field.
     assert result.rows == experiments.fig11_weak_scaling_time().rows
@@ -43,6 +41,13 @@ def test_fig11_weak_scaling_time(benchmark, show, tmp_path):
 def test_cost_effectiveness_70b(benchmark, show):
     result = benchmark(experiments.cost_effectiveness_70b)
     show(result)
+    # Pin: the 70B@2 sweep cells match the hand-wired engine comparison.
+    engines = compare_engines(
+        model_by_name("70B"), TESTBED_2, topology=ParallelTopology.weak_scaling(2, 4)
+    )
+    for label, res in engines.items():
+        row = result.row_for(engine=label)
+        assert (row["iteration_s"], row["num_gpus"]) == (res.iteration_seconds, res.num_gpus)
     ours = result.row_for(engine="MLP-Offload")
     baseline = result.row_for(engine="DeepSpeed ZeRO-3")
     # Offloaded training uses 10x fewer GPUs than the 80-GPU GPU-only run.

@@ -7,17 +7,11 @@ pre-port loop (:func:`repro.bench.experiments.fig13_gradient_accumulation`).
 """
 
 from repro.bench import experiments
-from repro.sweep import SweepRunner, figure_result, matrix_by_name
 
 
-def test_fig13_gradient_accumulation(benchmark, show, tmp_path):
-    matrix = matrix_by_name("batch_size")
-
-    def sweep():
-        runner = SweepRunner(matrix, repeats=1, sweep_dir=tmp_path / "cells")
-        return figure_result(matrix, runner.run().records)
-
-    result = benchmark(sweep)
+def test_fig13_gradient_accumulation(benchmark, show, sweep_figure):
+    result = benchmark(sweep_figure, "batch_size")
+    result.add_note("paper: MLP-Offload stays at least 40% faster even with heavy accumulation")
     show(result)
     # The sweep port reproduces the pre-port figure exactly, field for field.
     assert result.rows == experiments.fig13_gradient_accumulation().rows

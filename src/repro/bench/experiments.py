@@ -31,6 +31,8 @@ from repro.sim.sweep import (
     weak_scaling_sweep,
 )
 from repro.sim.workload import EngineKnobs, build_workload
+from repro.sweep.matrix import matrix_by_name
+from repro.sweep.runner import run_sim_cell
 from repro.sim.pipeline import simulate_update_phase
 from repro.tiers.file_store import FileStore
 from repro.tiers.spec import TESTBED_1, TESTBED_2, NodeSpec
@@ -425,12 +427,13 @@ def fig15_ablation_multipath(
 # §4.4 — cost effectiveness of offloaded vs GPU-only training
 # ---------------------------------------------------------------------------
 
-def cost_effectiveness_70b(node: NodeSpec = TESTBED_2) -> ExperimentResult:
+def cost_effectiveness_70b() -> ExperimentResult:
     """§4.4: 70B trained on 8 GPUs with offloading vs ~80 GPUs without.
 
     The paper quotes 24 s/iteration for GPU-only training of the 70B model on
     ~80 A100s; offloaded training on 8 GPUs is 7× slower with ZeRO-3 but only
-    ~5× slower with MLP-Offload, i.e. ~2× better cost effectiveness.
+    ~5× slower with MLP-Offload, i.e. ~2× better cost effectiveness.  The
+    offloaded rows are the ``weak_scaling`` matrix's two ``70B@2`` cells.
     """
     result = ExperimentResult(
         experiment="cost-effectiveness",
@@ -438,16 +441,14 @@ def cost_effectiveness_70b(node: NodeSpec = TESTBED_2) -> ExperimentResult:
     )
     gpu_only_seconds = 24.0
     gpu_only_gpus = 80
-    model = model_by_name("70B")
-    topology = ParallelTopology.weak_scaling(2, node.gpus_per_node)
-    engines = compare_engines(model, node, topology=topology)
-    for label, res in engines.items():
-        slowdown = res.iteration_seconds / gpu_only_seconds
-        gpu_ratio = gpu_only_gpus / res.num_gpus
+    for cell in matrix_by_name("weak_scaling").cells(include={"config": ["70B@2"]}):
+        metrics = run_sim_cell(cell)
+        slowdown = metrics["iteration_s"] / gpu_only_seconds
+        gpu_ratio = gpu_only_gpus / metrics["num_gpus"]
         result.add_row(
-            engine=label,
-            num_gpus=res.num_gpus,
-            iteration_s=res.iteration_seconds,
+            engine=cell["engine"],
+            num_gpus=metrics["num_gpus"],
+            iteration_s=metrics["iteration_s"],
             slowdown_vs_gpu_only=slowdown,
             gpu_reduction=gpu_ratio,
             cost_effectiveness=gpu_ratio / slowdown,
