@@ -43,9 +43,7 @@ def sweep_figure(tmp_path):
 
     def run(matrix_name: str, include=None) -> ExperimentResult:
         matrix = matrix_by_name(matrix_name)
-        runner = SweepRunner(
-            matrix, repeats=1, sweep_dir=tmp_path, resume=False, include=include
-        )
+        runner = SweepRunner(matrix, repeats=1, sweep_dir=tmp_path, resume=False, include=include)
         return figure_result(matrix, runner.run().records)
 
     return run

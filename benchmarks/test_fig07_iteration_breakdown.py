@@ -1,14 +1,10 @@
 """Figure 7: iteration-time breakdown vs model size (single Testbed-1 node)."""
 
-from repro.bench import experiments
-
 
 def test_fig07_iteration_breakdown(benchmark, show, sweep_figure):
     result = benchmark(sweep_figure, "model_size")
     result.add_note("paper headline: MLP-Offload iterations are ~2.5-2.7x faster than ZeRO-3")
     show(result)
-    # Pin: the sweep port reproduces the hand-wired loop exactly.
-    assert result.rows == experiments.fig7_iteration_breakdown().rows
     for model in ("40B", "52B", "70B", "100B", "120B"):
         baseline = result.row_for(model=model, engine="DeepSpeed ZeRO-3")
         ours = result.row_for(model=model, engine="MLP-Offload")

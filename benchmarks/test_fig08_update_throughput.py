@@ -1,14 +1,10 @@
 """Figure 8: update throughput (millions of parameters per second) vs model size."""
 
-from repro.bench import experiments
-
 
 def test_fig08_update_throughput(benchmark, show, sweep_figure):
     result = benchmark(sweep_figure, "model_size")
     result.add_note("paper: MLP-Offload sustains 1.8-2.4x the baseline's update throughput")
     show(result)
-    # Pin: the sweep port reproduces the hand-wired loop exactly.
-    assert result.rows == experiments.fig8_update_throughput().rows
     for model in ("40B", "52B", "70B", "100B", "120B"):
         baseline = result.row_for(model=model, engine="DeepSpeed ZeRO-3")
         ours = result.row_for(model=model, engine="MLP-Offload")

@@ -3,8 +3,9 @@
 
 Tensor parallelism within a node, data parallelism across nodes, on the
 Testbed-2 (Polaris-like) configuration, comparing DeepSpeed ZeRO-3 with
-MLP-Offload.  Also reports the §4.4 cost-effectiveness comparison against
-GPU-only training of the 70B model.
+MLP-Offload.  The cells are the ``weak_scaling`` scenario matrix of
+:mod:`repro.sweep` (``<model>@<nodes>``).  Also reports the §4.4
+cost-effectiveness comparison against GPU-only training of the 70B model.
 
 Run with::
 
@@ -15,23 +16,27 @@ from __future__ import annotations
 
 from repro.bench import experiments
 from repro.bench.harness import format_table
-from repro.sim.sweep import weak_scaling_sweep
+from repro.sweep import matrix_by_name
+from repro.sweep.runner import run_sim_cell
 
 
 def main() -> None:
+    sweep = {}
+    for cell in matrix_by_name("weak_scaling").cells():
+        sweep.setdefault(cell["config"], {})[cell["engine"]] = run_sim_cell(cell)
     rows = []
-    for config, engines in weak_scaling_sweep().items():
+    for config, engines in sweep.items():
         baseline = engines["DeepSpeed ZeRO-3"]
         ours = engines["MLP-Offload"]
         rows.append(
             {
                 "config": config,
-                "gpus": baseline.num_gpus,
-                "zero3_iter_s": baseline.iteration_seconds,
-                "mlp_iter_s": ours.iteration_seconds,
-                "speedup": baseline.iteration_seconds / ours.iteration_seconds,
-                "zero3_mparams_s": baseline.update_throughput_mparams,
-                "mlp_mparams_s": ours.update_throughput_mparams,
+                "gpus": baseline["num_gpus"],
+                "zero3_iter_s": baseline["iteration_s"],
+                "mlp_iter_s": ours["iteration_s"],
+                "speedup": baseline["iteration_s"] / ours["iteration_s"],
+                "zero3_mparams_s": baseline["update_mparams_per_s"],
+                "mlp_mparams_s": ours["update_mparams_per_s"],
             }
         )
     print(format_table(rows, title="Weak scaling on Testbed-2 (model size grown with node count)"))

@@ -1,9 +1,11 @@
-"""One function per table / figure of the paper's evaluation.
+"""The paper's tables and figures that are not a :mod:`repro.sweep` matrix.
 
-Each function runs the relevant simulator sweep (or microbenchmark) and
-returns an :class:`~repro.bench.harness.ExperimentResult` whose rows carry
-the same series the paper plots.  The benchmark files under ``benchmarks/``
-call these functions, print the rows and assert the qualitative shape.
+Each function runs the relevant simulation (or microbenchmark) and returns
+an :class:`~repro.bench.harness.ExperimentResult` whose rows carry the same
+series the paper plots.  The simulated figure families (Figures 7–9 and
+11–15) are scenario matrices tabulated by
+:func:`repro.sweep.results.figure_result`.  The benchmark files under
+``benchmarks/`` print the rows and assert the qualitative shape.
 Wall-clock measurements of the functional engine live in ``e2e_bench``.
 """
 
@@ -19,23 +21,12 @@ from repro.aio.microbench import measure_store_bandwidth
 from repro.aio.throttle import BandwidthThrottle
 from repro.bench.harness import ExperimentResult
 from repro.sim.iteration import IterationModel, simulate_iteration
-from repro.sim.metrics import IterationResult
-from repro.sim.sweep import (
-    BATCH_SIZE_POINTS,
-    SINGLE_NODE_MODELS,
-    WEAK_SCALING_POINTS,
-    ablation_sweep,
-    batch_size_sweep,
-    compare_engines,
-    model_size_sweep,
-    weak_scaling_sweep,
-)
 from repro.sim.workload import EngineKnobs, build_workload
+from repro.sim.pipeline import simulate_update_phase
 from repro.sweep.matrix import matrix_by_name
 from repro.sweep.runner import run_sim_cell
-from repro.sim.pipeline import simulate_update_phase
 from repro.tiers.file_store import FileStore
-from repro.tiers.spec import TESTBED_1, TESTBED_2, NodeSpec
+from repro.tiers.spec import TESTBED_1, NodeSpec
 from repro.train.model_zoo import MODEL_ZOO, TABLE2_NAMES, model_by_name
 from repro.train.parallelism import ParallelTopology
 from repro.util.bytesize import GB
@@ -168,16 +159,24 @@ def fig4_tier_bandwidth(
     Runs the *functional* microbenchmark against throttled file stores whose
     bandwidth matches Table 1, then derives the concurrent-process behaviour
     from the contention model: aggregate throughput stays roughly flat while
-    per-process latency grows with the process count.
+    per-process latency grows with the process count.  Without a ``workdir``
+    the stores live in a temporary directory removed before returning.
     """
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-fig4-") as scratch:
+            return fig4_tier_bandwidth(
+                node,
+                concurrency_levels=concurrency_levels,
+                workdir=Path(scratch),
+                block_bytes=block_bytes,
+            )
     result = ExperimentResult(
         experiment="fig4",
         description="I/O bandwidth of SSD (local) vs parallel file system (remote)",
     )
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-fig4-"))
     for tier_name, tier in node.storage.items():
         store = FileStore(
-            base / tier_name,
+            Path(workdir) / tier_name,
             name=tier_name,
             throttle=BandwidthThrottle(tier.effective_bw, simulate=True),
         )
@@ -250,76 +249,22 @@ def fig5_subgroup_throughput(node: NodeSpec = TESTBED_1, model_name: str = "40B"
 
 
 # ---------------------------------------------------------------------------
-# Figures 7 / 8 / 9 / 10 — single-node model-size scalability
+# Figure 10 — tier distribution (Figures 7-9 and 11-15 are repro.sweep matrices)
 # ---------------------------------------------------------------------------
 
-def _iteration_rows(result: ExperimentResult, key: str, value, res: IterationResult) -> None:
-    result.add_row(
-        **{key: value},
-        engine=res.label,
-        forward_s=res.forward_seconds,
-        backward_s=res.backward_seconds,
-        update_s=res.update_seconds,
-        iteration_s=res.iteration_seconds,
-        update_mparams_per_s=res.update_throughput_mparams,
-        io_gbps=res.effective_io_throughput_gbps,
-        cache_hit_rate=res.update.cache_hit_rate,
-    )
-
-
-def fig7_iteration_breakdown(
-    model_names: Sequence[str] = SINGLE_NODE_MODELS, node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 7: average iteration-time breakdown vs model size (DS vs MLP-Offload)."""
-    result = ExperimentResult(
-        experiment="fig7",
-        description="Average iteration time breakdown on scaling model sizes",
-    )
-    for name, engines in model_size_sweep(model_names, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "model", name, res)
-    result.add_note("paper headline: MLP-Offload iterations are ~2.5-2.7x faster than ZeRO-3")
-    return result
-
-
-def fig8_update_throughput(
-    model_names: Sequence[str] = SINGLE_NODE_MODELS, node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 8: update throughput (Mparams/s) vs model size."""
-    result = ExperimentResult(
-        experiment="fig8",
-        description="Average update throughput when scaling model sizes",
-    )
-    for name, engines in model_size_sweep(model_names, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "model", name, res)
-    result.add_note("paper: MLP-Offload sustains 1.8-2.4x the baseline's update throughput")
-    return result
-
-
-def fig9_io_throughput(
-    model_names: Sequence[str] = SINGLE_NODE_MODELS, node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 9: effective I/O throughput vs model size."""
-    result = ExperimentResult(
-        experiment="fig9",
-        description="Effective I/O throughput for different model sizes",
-    )
-    for name, engines in model_size_sweep(model_names, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "model", name, res)
-    result.add_note("paper: ~3.2 GB/s for ZeRO-3 vs 7-8.5 GB/s for MLP-Offload (2-2.6x)")
-    return result
-
-
 def fig10_tier_distribution(
-    model_names: Sequence[str] = SINGLE_NODE_MODELS, node: NodeSpec = TESTBED_1
+    model_names: Optional[Sequence[str]] = None, node: NodeSpec = TESTBED_1
 ) -> ExperimentResult:
-    """Figure 10: distribution of optimizer state across host memory, NVMe and PFS."""
+    """Figure 10: distribution of optimizer state across host memory, NVMe and PFS.
+
+    ``model_names`` defaults to the ``model_size`` matrix's ``model`` axis.
+    """
     result = ExperimentResult(
         experiment="fig10",
         description="Distribution of optimizer states across different tiers",
     )
+    if model_names is None:
+        model_names = next(a.values for a in matrix_by_name("model_size").axes if a.name == "model")
     for name in model_names:
         model = model_by_name(name)
         res = simulate_iteration(
@@ -333,93 +278,6 @@ def fig10_tier_distribution(
             row[f"{tier}_pct"] = 100.0 * nbytes / total
         result.add_row(**row)
     result.add_note("paper: roughly 2:1 NVMe:PFS split, matching the Table 1 bandwidth ratio")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 11 / 12 — weak scalability
-# ---------------------------------------------------------------------------
-
-def fig11_weak_scaling_time(
-    points: Sequence[Tuple[str, int]] = WEAK_SCALING_POINTS, node: NodeSpec = TESTBED_2
-) -> ExperimentResult:
-    """Figure 11: iteration-time breakdown for model size grown with node count."""
-    result = ExperimentResult(
-        experiment="fig11",
-        description="Weak scaling: iteration time for increasing model sizes with #GPUs",
-    )
-    for key, engines in weak_scaling_sweep(points, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "config", key, res)
-    result.add_note("paper: MLP-Offload stays ~2x faster than ZeRO-3 up to 32 GPUs / 280B")
-    return result
-
-
-def fig12_weak_scaling_throughput(
-    points: Sequence[Tuple[str, int]] = WEAK_SCALING_POINTS, node: NodeSpec = TESTBED_2
-) -> ExperimentResult:
-    """Figure 12: job-level update throughput under weak scaling."""
-    result = ExperimentResult(
-        experiment="fig12",
-        description="Weak scaling: update throughput for increasing model sizes with #GPUs",
-    )
-    for key, engines in weak_scaling_sweep(points, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "config", key, res)
-    result.add_note("paper: update throughput grows with resources; I/O remains the bottleneck")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 13 — gradient accumulation / batch size scalability
-# ---------------------------------------------------------------------------
-
-def fig13_gradient_accumulation(
-    batch_sizes: Sequence[int] = BATCH_SIZE_POINTS, node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 13: iteration time vs equivalent batch size for the 40B model."""
-    result = ExperimentResult(
-        experiment="fig13",
-        description="Average iteration time of different batch sizes for the 40B model",
-    )
-    for batch, engines in batch_size_sweep(batch_sizes, node).items():
-        for res in engines.values():
-            _iteration_rows(result, "batch_size", batch, res)
-    result.add_note("paper: MLP-Offload stays at least 40% faster even with heavy accumulation")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 14 / 15 — ablation studies
-# ---------------------------------------------------------------------------
-
-def fig14_ablation_nvme(
-    model_names: Sequence[str] = ("40B", "70B", "100B"), node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 14: progressive activation of the design principles, NVMe only."""
-    result = ExperimentResult(
-        experiment="fig14",
-        description="Performance ablation on node-local NVMe",
-    )
-    for name, variants in ablation_sweep(model_names, node, multipath=False).items():
-        for label, res in variants.items():
-            _iteration_rows(result, "model", name, res)
-    result.add_note("paper: each principle contributes; up to 1.6x faster without any PFS")
-    return result
-
-
-def fig15_ablation_multipath(
-    model_names: Sequence[str] = ("40B", "70B", "100B"), node: NodeSpec = TESTBED_1
-) -> ExperimentResult:
-    """Figure 15: ablation with the PFS active (multi-path)."""
-    result = ExperimentResult(
-        experiment="fig15",
-        description="Performance ablation on node-local NVMe and PFS",
-    )
-    for name, variants in ablation_sweep(model_names, node, multipath=True).items():
-        for label, res in variants.items():
-            _iteration_rows(result, "model", name, res)
-    result.add_note("paper: multi-path I/O adds another ~1.6x, reaching ~2.5x end to end")
     return result
 
 

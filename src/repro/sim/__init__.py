@@ -15,21 +15,17 @@ The simulator is a fluid (processor-sharing) discrete-event model:
   (prefetch / convert / compute / H2D / lazy flush) for any engine variant;
 * :mod:`repro.sim.iteration` — full iteration simulation (forward, backward,
   update) including ZeRO-3 communication and gradient-flush behaviour;
-* :mod:`repro.sim.metrics` — result records mirroring the paper's metrics;
-* :mod:`repro.sim.sweep` — parameter sweeps over model sizes, node counts,
-  batch sizes and ablation variants used by the benchmark harness.
+* :mod:`repro.sim.metrics` — result records mirroring the paper's metrics.
+
+The paper's experiment grids (model sizes, node counts, batch sizes,
+ablation ladders) are :mod:`repro.sweep` scenario matrices whose ``sim``
+cells call :func:`simulate_iteration`.
 """
 
 from repro.sim.metrics import IterationResult, UpdatePhaseResult
 from repro.sim.workload import EngineKnobs, UpdateWorkload, build_workload
 from repro.sim.pipeline import simulate_update_phase
 from repro.sim.iteration import IterationModel, simulate_iteration
-from repro.sim.sweep import (
-    ablation_sweep,
-    batch_size_sweep,
-    model_size_sweep,
-    weak_scaling_sweep,
-)
 
 __all__ = [
     "IterationResult",
@@ -40,8 +36,4 @@ __all__ = [
     "simulate_update_phase",
     "IterationModel",
     "simulate_iteration",
-    "model_size_sweep",
-    "weak_scaling_sweep",
-    "batch_size_sweep",
-    "ablation_sweep",
 ]

@@ -16,8 +16,9 @@ set is always a subset of the full product — the property tests pin that
 down (no duplicates, no out-of-space cells, count = product of axis lengths
 when unfiltered).
 
-The registry at the bottom mirrors the paper's experiment axes
-(:mod:`repro.sim.sweep`) plus one real-engine matrix exercising the
+The registry at the bottom holds the paper's experiment axes — one matrix
+per simulated figure family (Figures 7–15; the ablation rungs come from
+:mod:`repro.zero.variants`) — plus one real-engine matrix exercising the
 functional trainer across codec × pipeline × coordination knobs.
 """
 
@@ -28,6 +29,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.zero.variants import ABLATION_LADDER_MULTIPATH, ABLATION_LADDER_NVME, AblationVariant
 
 #: Axis values are JSON scalars so cells stay CLI-addressable and hashable.
 AxisValue = "str | int | float | bool"
@@ -182,6 +185,11 @@ ENGINE_AXIS = Axis("engine", ("DeepSpeed ZeRO-3", "MLP-Offload"))
 WEAK_SCALING_CONFIGS = ("40B@1", "70B@2", "100B@3", "130B@4", "280B@8")
 
 
+def _ladder_axis(ladder: Sequence[AblationVariant]) -> Axis:
+    """An ablation ladder's rungs, in ladder order, as a ``variant`` axis."""
+    return Axis("variant", tuple(rung.label for rung in ladder))
+
+
 def _builtin_matrices() -> Dict[str, ScenarioMatrix]:
     matrices = (
         ScenarioMatrix(
@@ -220,15 +228,7 @@ def _builtin_matrices() -> Dict[str, ScenarioMatrix]:
             description="Progressive design-principle activation, NVMe only (Figure 14)",
             axes=(
                 Axis("model", ("40B", "70B", "100B")),
-                Axis(
-                    "variant",
-                    (
-                        "DeepSpeed ZeRO-3",
-                        "Enable Caching",
-                        "Skip Gradients",
-                        "Process Atomic R/W",
-                    ),
-                ),
+                _ladder_axis(ABLATION_LADDER_NVME),
             ),
             fixed={"testbed": "testbed-1", "ladder": "nvme"},
         ),
@@ -238,10 +238,7 @@ def _builtin_matrices() -> Dict[str, ScenarioMatrix]:
             description="Progressive activation with the PFS active (Figure 15)",
             axes=(
                 Axis("model", ("40B", "70B", "100B")),
-                Axis(
-                    "variant",
-                    ("Multi-Path (with caching)", "MP Skip Grads", "Our Approach"),
-                ),
+                _ladder_axis(ABLATION_LADDER_MULTIPATH),
             ),
             fixed={"testbed": "testbed-1", "ladder": "multipath"},
         ),

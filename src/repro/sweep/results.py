@@ -189,7 +189,7 @@ def write_payload(path: "str | Path", payload: Dict[str, Any]) -> Path:
 # Figure ports — rebuild the paper-figure row shape from sweep records
 # ---------------------------------------------------------------------------
 
-#: Figure metric columns, in the order the hand-wired loops emitted them.
+#: Figure metric columns, in row order.
 _FIGURE_FIELDS = (
     "forward_s",
     "backward_s",
@@ -202,13 +202,13 @@ _FIGURE_FIELDS = (
 
 
 def figure_result(matrix: ScenarioMatrix, records: Sequence[CellRecord]) -> ExperimentResult:
-    """Rebuild a figure's ``ExperimentResult`` rows from sim sweep records.
+    """Tabulate a paper figure's ``ExperimentResult`` rows from sim sweep records.
 
-    Produces rows field-for-field identical to the pre-sweep hand-wired
-    loops in :mod:`repro.bench.experiments` (``fig11_weak_scaling_time`` for
-    the ``weak_scaling`` matrix, ``fig13_gradient_accumulation`` for
-    ``batch_size``): same key column, same engine labels, same metric values
-    in matrix order — the ported benchmarks assert exact equality.
+    One row per cell in matrix order: a key column (``config`` as
+    ``<model>[<gpus>]`` for ``weak_scaling``, ``batch_size`` for
+    ``batch_size``, else ``model``), the ``engine`` column (the cell's engine
+    or ablation rung) and the :data:`_FIGURE_FIELDS` metrics.  Every
+    simulated figure (7–9, 11–15) is one of these tables.
     """
     if matrix.kind != "sim":
         raise SweepError("figure ports are defined for sim matrices only")

@@ -280,9 +280,9 @@ def _sim_knobs(params: Cell):
 def run_sim_cell(params: Cell) -> Dict[str, Any]:
     """Simulate one configuration and return the paper-figure metrics.
 
-    The metric names match :func:`repro.bench.experiments._iteration_rows`
-    exactly, so the ported figure benchmarks can assert row-for-row equality
-    against the pre-sweep hand-wired loops.
+    The metric names are the columns :func:`repro.sweep.results.figure_result`
+    tabulates, plus ``num_gpus`` (the job size the weak-scaling key column
+    and the §4.4 cost comparison read).
     """
     from repro.sim.iteration import IterationModel, simulate_iteration
     from repro.tiers.spec import testbed_by_name
