@@ -7,7 +7,6 @@ import pytest
 from repro.bench import experiments
 from repro.bench.harness import ExperimentResult, format_table, paper_vs_measured
 from repro.core.config import MLPOffloadConfig, TierConfig
-from repro.sweep.matrix import matrix_by_name
 from repro.zero.variants import (
     ABLATION_LADDER_MULTIPATH,
     ABLATION_LADDER_NVME,
@@ -95,11 +94,3 @@ class TestExperiments:
         result = experiments.fig4_tier_bandwidth(concurrency_levels=(1,), block_bytes=1 << 12)
         assert result.row_for(tier="nvme", processes=1)["read_gbps"] > 0
         assert list(tmp_path.iterdir()) == []
-
-    def test_ablation_matrices_take_their_rungs_from_the_ladders(self):
-        for matrix, ladder in (
-            ("ablation_nvme", ABLATION_LADDER_NVME),
-            ("ablation_multipath", ABLATION_LADDER_MULTIPATH),
-        ):
-            cells = matrix_by_name(matrix).cells(include={"model": ["40B"]})
-            assert [cell["variant"] for cell in cells] == [rung.label for rung in ladder]
