@@ -76,6 +76,7 @@ class WorldSpec:
     iterations: int = 3
     seed: int = 1234
     checkpoint_retention: int = 2
+    checkpoint_codec: str = MLPOffloadConfig.checkpoint_codec
 
     def to_json(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2))
@@ -106,6 +107,7 @@ def make_config(spec: WorldSpec, world_size: Optional[int] = None) -> MLPOffload
         checkpoint_coordination=True,
         checkpoint_world_size=world_size or spec.world_size,
         checkpoint_retention=spec.checkpoint_retention,
+        checkpoint_codec=spec.checkpoint_codec,
         adam=AdamConfig(lr=1e-3),
     )
 

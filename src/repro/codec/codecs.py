@@ -20,9 +20,10 @@ provided:
   codec by name in every frame and manifest, so a real LZ4 backend can be
   added later without disturbing committed checkpoints.
 
-The special codec name ``"raw"`` (``RAW_CODEC``) means "no framing at all":
-the payload is stored as a plain tier blob exactly as before compression
-existed.  It is not a :class:`Codec` — callers branch on it before encoding.
+The special codec name ``"raw"`` (``RAW_CODEC``, the default
+``checkpoint_codec``) means "no framing at all": the payload is stored as a
+plain tier blob.  It is not a :class:`Codec` — callers branch on it before
+encoding.
 
 All transforms are deterministic: identical raw bytes always produce
 identical encoded bytes, which is what lets content-addressed checkpoint

@@ -214,6 +214,11 @@ class OffloadEngineBase:
                 f"rank {self.rank} expects {expected} parameters, got {initial_params_fp32.size}"
             )
         self.tier.build_placement([sg.index for sg in self.subgroups])
+        # No checkpoint can link the initial blobs: the first update
+        # rewrites every subgroup before its boundary snapshots (the
+        # run_update hashing rule).  A save_checkpoint before any update
+        # falls back to one maintenance read per linked blob.
+        self.tier.track_writes = False
         flat = initial_params_fp32.astype(np.float32, copy=False).reshape(-1)
         for sg in self.subgroups:
             view = flat[self._views[sg.index]]

@@ -384,7 +384,7 @@ def run_engine_cell(params: Cell, *, seed: int = 0) -> Dict[str, Any]:
             adam=AdamConfig(lr=1e-3),
             pipeline_update_phase=bool(params.get("pipeline", True)),
             checkpoint_dir=str(scratch / "ckpt"),
-            checkpoint_codec=str(params.get("codec", "shuffle-deflate")),
+            checkpoint_codec=str(params.get("codec", MLPOffloadConfig.checkpoint_codec)),
             checkpoint_coordination=bool(params.get("coordination", False)),
             checkpoint_retention=iterations,
         )

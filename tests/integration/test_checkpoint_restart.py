@@ -16,6 +16,7 @@ import pytest
 
 from repro.ckpt import CheckpointError, CheckpointReader
 from repro.ckpt.store import blob_store_roots
+from repro.codec import codec_names
 from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
 from repro.core.engine import MLPOffloadEngine
 from repro.train.adam import AdamConfig
@@ -243,10 +244,11 @@ def test_corrupt_blob_fails_integrity_check(tmp_path, workload):
 # -- codec matrix -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", ["raw", "null", "shuffle-deflate"])
+@pytest.mark.parametrize("codec", codec_names())
 def test_restart_matrix_by_codec(tmp_path, workload, codec):
-    """Bitwise resume must hold for every codec of the staged residue under
-    the streaming (hard-link + lazy residue) restore."""
+    """Bitwise resume must hold for every registered codec of the staged
+    residue (the gated lz4/zstd too, where their packages are installed)
+    under the streaming (hard-link + lazy residue) restore."""
     overrides = dict(checkpoint_codec=codec)
 
     def crash(engine, fp16, views, grads):
@@ -533,6 +535,69 @@ def test_retention_keeps_window_and_sweeps_blobs(tmp_path, workload):
         referenced |= {key for _, key in manifest.blob_keys()}
     on_disk = {key for store in reader.stores.values() for key in store.keys()}
     assert on_disk <= referenced
+
+
+# -- what the initial flush hashes --------------------------------------------
+
+
+def test_initialize_records_no_state_digests(tmp_path, workload):
+    """The first update rewrites every subgroup before any interval snapshot,
+    so no checkpoint can link the initial blobs: ``initialize`` hashes none."""
+    layout, views, initial, grads = workload
+    with MLPOffloadEngine(make_config(tmp_path), layout, rank=0) as engine:
+        engine.initialize(initial.copy())
+        keys = [(store, key) for store in engine.tier.stores.values() for key in store.keys()]
+        assert keys, "initialize flushed no blob"
+        assert all(store.checksum_of(key) is None for store, key in keys)
+
+
+def test_save_before_any_update_restores_bitwise(tmp_path, workload):
+    """A manual checkpoint of the initial state (its linked blobs pay one
+    maintenance read each for their digest) restores and trains on bitwise."""
+    layout, views, initial, grads = workload
+    base = tmp_path / "crashed"
+    base.mkdir()
+    with MLPOffloadEngine(make_config(base), layout, rank=0) as engine:
+        engine.initialize(initial.copy())
+        fp16 = initial.astype(np.float16)
+        engine.save_checkpoint(fp16, wait=True)
+        assert engine.checkpointer.linked_blobs > 0
+
+    resumed = MLPOffloadEngine(make_config(base), layout, rank=0)
+    try:
+        restored = resumed.restore_checkpoint()
+        assert restored.iteration == 0
+        assert np.array_equal(restored.fp16_params, fp16)
+        assert np.array_equal(resumed.fetch_master_params(), initial)
+        fp16_resumed = restored.fp16_params
+        for grad in grads:
+            feed_iteration(resumed, views, grad)
+            resumed.run_update(fp16_resumed)
+        state = (fp16_resumed, resumed.fetch_master_params())
+    finally:
+        resumed.close()
+    assert_equivalent(run_reference(tmp_path, workload), state)
+
+
+def test_interval_update_records_digests_so_the_snapshot_links_without_reads(
+    tmp_path, workload, monkeypatch
+):
+    """An update whose boundary snapshots still hashes its writes, so the
+    snapshot hard-links every tier blob with no fallback digest read."""
+    layout, views, initial, grads = workload
+    with MLPOffloadEngine(make_config(tmp_path), layout, rank=0) as engine:
+        engine.initialize(initial.copy())
+        fp16 = initial.astype(np.float16)
+        feed_iteration(engine, views, grads[0])
+        engine.run_update(fp16)
+
+        def no_fallback_read(key):
+            raise AssertionError(f"snapshot re-read {key!r} for its digest")
+
+        for store in engine.tier.stores.values():
+            monkeypatch.setattr(store, "compute_checksum", no_fallback_read)
+        assert engine.maybe_checkpoint(fp16, wait=True) == 1
+        assert engine.checkpointer.linked_blobs > 0
 
 
 def test_back_to_back_checkpoints_reuse_content(tmp_path, workload):

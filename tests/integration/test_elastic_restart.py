@@ -53,10 +53,10 @@ def make_config(base, **overrides) -> MLPOffloadConfig:
     )
 
 
-def build_world(base, world: int):
+def build_world(base, world: int, **overrides):
     """Engines + coordinator for one world size over the shared directory."""
     layout = build_shard_layout(TOTAL_PARAMS, num_ranks=world, subgroup_size=SUBGROUP)
-    config = make_config(base)
+    config = make_config(base, **overrides)
     coordinator = CheckpointCoordinator(
         config, workers=config.checkpoint_workers(world)
     )
@@ -101,9 +101,9 @@ def gather(layout, engines, fp16s):
     return fp16, master
 
 
-def write_cut(base, world: int, initial, grads):
+def write_cut(base, world: int, initial, grads, **overrides):
     """Train ``ITERATIONS`` globally-committed iterations at ``world`` ranks."""
-    layout, coordinator, engines = build_world(base, world)
+    layout, coordinator, engines = build_world(base, world, **overrides)
     fp16s = []
     for rank, engine in enumerate(engines):
         start, stop = layout.rank_intervals[rank]
@@ -122,9 +122,9 @@ def write_cut(base, world: int, initial, grads):
     return state
 
 
-def restore_elastic(base, world: int):
+def restore_elastic(base, world: int, **overrides):
     """Restore the newest global cut at ``world`` ranks; engines stay open."""
-    layout, _coordinator, engines = build_world(base, world)
+    layout, _coordinator, engines = build_world(base, world, **overrides)
     fp16s = []
     for engine in engines:
         restored = engine.restore_checkpoint()
@@ -137,15 +137,18 @@ def restore_elastic(base, world: int):
     return layout, engines, fp16s
 
 
+@pytest.mark.parametrize("codec", ["raw", "shuffle-deflate"])
 @pytest.mark.parametrize(
     ("old_world", "new_world"), [(3, 2), (2, 4)], ids=["shrink-3-to-2", "grow-2-to-4"]
 )
-def test_elastic_restore_is_bitwise_across_world_sizes(tmp_path, old_world, new_world):
+def test_elastic_restore_is_bitwise_across_world_sizes(tmp_path, old_world, new_world, codec):
     """The gathered FP16 and FP32 state of the resized world is bitwise-equal
-    to the pre-crash gather — shrink and grow alike."""
+    to the pre-crash gather — shrink and grow alike, plain or framed blobs."""
     initial, grads = global_workload()
-    fp16_before, master_before = write_cut(tmp_path, old_world, initial, grads)
-    layout, engines, fp16s = restore_elastic(tmp_path, new_world)
+    fp16_before, master_before = write_cut(
+        tmp_path, old_world, initial, grads, checkpoint_codec=codec
+    )
+    layout, engines, fp16s = restore_elastic(tmp_path, new_world, checkpoint_codec=codec)
     try:
         fp16_after, master_after = gather(layout, engines, fp16s)
         assert np.array_equal(fp16_after, fp16_before), "gathered FP16 params diverged"

@@ -135,15 +135,16 @@ class TestBackendBitwiseEquivalence:
         finally:
             resumed.close()
 
-    def test_cross_backend_restore(self, tmp_path, layout, workload):
-        """A checkpoint written under odirect restores under thread (same disk format)."""
+    @pytest.mark.parametrize("codec", ["raw", "shuffle-deflate"])
+    def test_cross_backend_restore(self, tmp_path, layout, workload, codec):
+        """A checkpoint written under odirect restores under thread (same
+        disk format), plain blobs and codec frames alike."""
         initial, grads = workload
         root = tmp_path / "cross"
-        write_config = _make_config(root, "odirect", checkpoint_dir=str(root / "ckpt"))
+        ckpt = dict(checkpoint_dir=str(root / "ckpt"), checkpoint_codec=codec)
+        write_config = _make_config(root, "odirect", **ckpt)
         fp16, master = _drive(write_config, layout, initial, grads, checkpoint=True)
-        resumed = MLPOffloadEngine(
-            _make_config(root, "thread", checkpoint_dir=str(root / "ckpt")), layout, rank=0
-        )
+        resumed = MLPOffloadEngine(_make_config(root, "thread", **ckpt), layout, rank=0)
         try:
             restored = resumed.restore_checkpoint()
             np.testing.assert_array_equal(restored.fp16_params, fp16)

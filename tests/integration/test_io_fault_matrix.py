@@ -240,8 +240,9 @@ class TestDeadPathFailover:
 
 
 class TestCheckpointEnospcSkips:
+    @pytest.mark.parametrize("codec", ["raw", "shuffle-deflate"])
     def test_enospc_during_drain_skips_version_not_training(
-        self, tmp_path, layout, training_inputs
+        self, tmp_path, layout, training_inputs, codec
     ):
         initial, grads = training_inputs
         # The first checkpoint blob write hits device-full (the drain skips
@@ -253,6 +254,7 @@ class TestCheckpointEnospcSkips:
                 tmp_path / "ckpt",
                 checkpoint_dir=str(tmp_path / "ckpt" / "snaps"),
                 checkpoint_interval=1,
+                checkpoint_codec=codec,
             )
             views = flat_views(None, layout, 0)
             with MLPOffloadEngine(config, layout, rank=0) as engine:

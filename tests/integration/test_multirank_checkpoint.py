@@ -284,8 +284,9 @@ def test_coordinator_dies_between_promote_and_gc(tmp_path, workload):
     assert_equivalent(run_reference(tmp_path, workload), state)
 
 
+@pytest.mark.parametrize("codec", ["raw", "shuffle-deflate"])
 def test_concurrent_coordinated_ranks_train_bitwise_and_restart_from_one_cut(
-    tmp_path, workload
+    tmp_path, workload, codec
 ):
     """Ranks stepping concurrently, each checkpointing every step through
     the global commit, train exactly like the uncheckpointed reference; a
@@ -293,7 +294,7 @@ def test_concurrent_coordinated_ranks_train_bitwise_and_restart_from_one_cut(
     layout, views, initial, grads = workload
     base = tmp_path / "concurrent"
     base.mkdir()
-    config = make_config(base, checkpoint_retention=ITERATIONS)
+    config = make_config(base, checkpoint_retention=ITERATIONS, checkpoint_codec=codec)
     coordinator = CheckpointCoordinator(
         config, workers=config.checkpoint_workers(layout.num_ranks)
     )
@@ -325,7 +326,7 @@ def test_concurrent_coordinated_ranks_train_bitwise_and_restart_from_one_cut(
     assert coordinator.global_versions() == list(range(1, ITERATIONS + 1))
 
     fresh = build_engines(
-        make_config(base, checkpoint_retention=ITERATIONS), layout,
+        make_config(base, checkpoint_retention=ITERATIONS, checkpoint_codec=codec), layout,
         coordinator=CheckpointCoordinator(
             config, workers=config.checkpoint_workers(layout.num_ranks)
         ),

@@ -51,8 +51,10 @@ def reference(tmp_path_factory):
     return reference_state(spec, ITERATIONS)
 
 
-def run_cell(tmp_path, reference, *, phase, victim, version, resume_world=None):
-    spec = WorldSpec(workdir=str(tmp_path), world_size=WORLD, iterations=ITERATIONS)
+def run_cell(tmp_path, reference, *, phase, victim, version, resume_world=None, **spec_kw):
+    spec = WorldSpec(
+        workdir=str(tmp_path), world_size=WORLD, iterations=ITERATIONS, **spec_kw
+    )
     out = run_crash_scenario(
         spec, phase=phase, victim=victim, version=version,
         resume_world_size=resume_world,
@@ -71,8 +73,13 @@ def run_cell(tmp_path, reference, *, phase, victim, version, resume_world=None):
 @pytest.mark.parametrize("phase", COORDINATOR_PHASES)
 def test_sigkill_at_each_protocol_phase(tmp_path, reference, phase):
     """One representative victim per phase; promoter phases arm every rank,
-    so whichever process actually wins the election is the one that dies."""
-    run_cell(tmp_path, reference, phase=phase, victim=1, version=2)
+    so whichever process actually wins the election is the one that dies.
+    Pinned to the framed codec, so a kill mid-drain lands among codec
+    frames; the other cells run the default plain blobs."""
+    run_cell(
+        tmp_path, reference, phase=phase, victim=1, version=2,
+        checkpoint_codec="shuffle-deflate",
+    )
 
 
 def test_sigkill_of_every_rank_at_the_publish_boundary(tmp_path, reference):

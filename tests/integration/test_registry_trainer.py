@@ -59,9 +59,12 @@ def build_trainer(tiny_model, config, **kwargs):
 
 
 def test_trainer_pushes_and_cold_restores_bitwise(tmp_path, tiny_model):
+    # Pinned to the framed codec: a push uploads the stored frames, so this
+    # is the path where encoding pays.
+    framed = dict(checkpoint_codec="shuffle-deflate")
     with RegistryServerThread(tmp_path / "srv", scrub_interval=0.05) as srv:
         trainer, engine = build_trainer(
-            tiny_model, make_config(tmp_path / "a", srv.url, tenant="job-a")
+            tiny_model, make_config(tmp_path / "a", srv.url, tenant="job-a", **framed)
         )
         try:
             trainer.train(3)
@@ -79,7 +82,7 @@ def test_trainer_pushes_and_cold_restores_bitwise(tmp_path, tiny_model):
             TransformerLM(tiny_model).num_params, num_ranks=1, subgroup_size=SUBGROUP
         )
         local = MLPOffloadEngine(
-            make_config(tmp_path / "a", srv.url, tenant="job-a"), layout, rank=0
+            make_config(tmp_path / "a", srv.url, tenant="job-a", **framed), layout, rank=0
         )
         try:
             local_version = local.restore_checkpoint().version
@@ -90,7 +93,7 @@ def test_trainer_pushes_and_cold_restores_bitwise(tmp_path, tiny_model):
         # resume must pull the checkpoint from the registry over HTTP
         resumed, engine2 = build_trainer(
             tiny_model,
-            make_config(tmp_path / "b", srv.url, tenant="job-a"),
+            make_config(tmp_path / "b", srv.url, tenant="job-a", **framed),
             resume=True,
         )
         try:

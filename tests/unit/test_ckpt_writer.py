@@ -58,8 +58,9 @@ def test_adopt_missing_source_raises(tmp_path):
 
 
 @pytest.fixture
-def ckpt_env(tmp_path):
-    """A small VirtualTier + CheckpointWriter over two real tier dirs."""
+def ckpt_env(tmp_path, request):
+    """A small VirtualTier + CheckpointWriter over two real tier dirs
+    (an indirect parameter names the codec; default: the config default)."""
     from repro.ckpt.writer import CheckpointWriter
     from repro.core.config import MLPOffloadConfig, StripeConfig, TierConfig
     from repro.core.virtual_tier import VirtualTier
@@ -75,6 +76,7 @@ def ckpt_env(tmp_path):
         subgroup_size=100,
         checkpoint_dir=str(tmp_path / "ckpt"),
         stripe=StripeConfig(threshold_bytes=256.0),
+        checkpoint_codec=getattr(request, "param", MLPOffloadConfig.checkpoint_codec),
     )
     tier = VirtualTier(config, worker="rank0")
     tier.build_placement([0, 1])
@@ -95,6 +97,7 @@ def layout_echo(num_subgroups=2):
     }
 
 
+@pytest.mark.parametrize("ckpt_env", ["raw", "shuffle-deflate"], indirect=True)
 def test_snapshot_links_and_stages_then_restores(ckpt_env, rng):
     config, tier, pool, writer = ckpt_env
     linked_state = {f: rng.standard_normal(100).astype(np.float32) for f in ("params", "exp_avg", "exp_avg_sq")}
@@ -338,6 +341,25 @@ def test_retention_gc_spares_a_concurrently_landing_prepared_manifest(ckpt_env, 
         "prepared manifest"
     )
     assert other.prepared_path_for(1).exists()
+
+
+@pytest.mark.parametrize("ckpt_env", ["shuffle-deflate"], indirect=True)
+def test_stored_size_cache_forgets_blobs_retention_gc_deleted(ckpt_env):
+    """Regression: under an encoding codec every staged blob's stored size
+    was cached for the writer's lifetime, so the cache grew by every new
+    version's blobs while retention GC kept the stores at a fixed window.
+    It may only describe blobs that still exist."""
+    config, tier, pool, writer = ckpt_env
+    for version in range(1, 13):
+        snapshot_staged(writer, pool, seed=float(version))
+    live = {
+        (name, key)
+        for name, store in writer.stores.items()
+        for key in store.keys()
+        if key.startswith("cas")
+    }
+    assert writer._stored_sizes, "an encoding codec caches stored sizes"
+    assert set(writer._stored_sizes) <= live
 
 
 def test_retention_gc_skips_tmp_files_and_sweeps_own_stale_tmps(ckpt_env, rng):

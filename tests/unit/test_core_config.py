@@ -101,6 +101,22 @@ class TestMLPOffloadConfig:
         with pytest.raises(TypeError):
             MLPOffloadConfig.single_tier(tier_dirs["nvme"], subgroup_size=10, **{key: value})
 
+    def test_from_json_of_a_tiers_only_block_takes_every_dataclass_default(
+        self, two_tier_config
+    ):
+        """A key absent from the JSON block must mean the dataclass default,
+        never a second spelling of it that can drift."""
+        from dataclasses import fields
+
+        tiers = [
+            {k: v for k, v in vars(t).items() if v is not None} for t in two_tier_config.tiers
+        ]
+        parsed = MLPOffloadConfig.from_json(json.dumps({"mlp_offload": {"tiers": tiers}}))
+        expected = MLPOffloadConfig(tiers=two_tier_config.tiers)
+        # Every field, the nested io/stripe/adam blocks included.
+        for f in fields(MLPOffloadConfig):
+            assert getattr(parsed, f.name) == getattr(expected, f.name), f.name
+
     def test_from_json_requires_top_level_key(self):
         with pytest.raises(ValueError):
             MLPOffloadConfig.from_json("{}")
