@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -139,13 +139,14 @@ class StripeConfig:
 
 
 #: JSON keys of :meth:`MLPOffloadConfig.to_json` that differ from the field
-#: name they carry.
+#: name they carry (and the inverse map, field name to JSON key).
 _JSON_KEY_FIELDS = {
     "multipath": "enable_multipath",
     "tier_locks": "enable_tier_locks",
     "cache_reorder": "enable_cache_reorder",
     "delayed_grad_conversion": "enable_delayed_grad_conversion",
 }
+_FIELD_JSON_KEYS = {name: key for key, name in _JSON_KEY_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -169,23 +170,6 @@ class MLPOffloadConfig:
     enable_cache_reorder: bool = True
     #: Design principle 4: keep FP16 grads on host, convert at update time.
     enable_delayed_grad_conversion: bool = True
-    #: Overlap tier I/O with the CPU Adam compute during the update phase:
-    #: prefetch the next ``prefetch_depth`` subgroups asynchronously while the
-    #: current one is updated, and drain flushes lazily at phase end.  Turning
-    #: this off yields the single-buffered Algorithm-1 loop — one subgroup
-    #: prefetched ahead, synchronous flushes — as the sequential ablation
-    #: baseline.
-    pipeline_update_phase: bool = True
-    #: Lookahead window (in subgroups) of the pipelined update phase; only
-    #: meaningful when ``pipeline_update_phase`` is on.
-    prefetch_depth: int = 2
-    #: Drain the FLUSH_FP32 baseline's backward-phase gradient flushes
-    #: asynchronously (same treatment as the update-phase lazy flushes): the
-    #: backward hook submits the write and returns; all writes are drained
-    #: before the next update phase fetches gradients.  Off = the seed's
-    #: synchronous per-subgroup flush as the ablation baseline.  No effect on
-    #: the delayed-FP16 policy (which flushes nothing during backward).
-    pipeline_backward_flush: bool = True
     #: I/O mechanism knobs (raw backend, alignment, retries);
     #: see :class:`IOBackendConfig`.
     io: IOBackendConfig = field(default_factory=IOBackendConfig)
@@ -269,8 +253,6 @@ class MLPOffloadConfig:
             raise ValueError("subgroup_size must be >= 1")
         if self.host_cache_bytes < 0:
             raise ValueError("host_cache_bytes must be non-negative")
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.checkpoint_retention < 1:
@@ -370,40 +352,20 @@ class MLPOffloadConfig:
     # -- (de)serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize to the JSON shape used in the DeepSpeed-style config block."""
-        payload = {
-            "mlp_offload": {
-                "tiers": [
-                    {k: v for k, v in asdict(t).items() if v is not None} for t in self.tiers
-                ],
-                "subgroup_size": self.subgroup_size,
-                "host_cache_bytes": self.host_cache_bytes,
-                "multipath": self.enable_multipath,
-                "tier_locks": self.enable_tier_locks,
-                "cache_reorder": self.enable_cache_reorder,
-                "delayed_grad_conversion": self.enable_delayed_grad_conversion,
-                "pipeline_update_phase": self.pipeline_update_phase,
-                "prefetch_depth": self.prefetch_depth,
-                "pipeline_backward_flush": self.pipeline_backward_flush,
-                "io": asdict(self.io),
-                "stripe": asdict(self.stripe),
-                "checkpoint_dir": self.checkpoint_dir,
-                "checkpoint_interval": self.checkpoint_interval,
-                "checkpoint_retention": self.checkpoint_retention,
-                "checkpoint_codec": self.checkpoint_codec,
-                "checkpoint_coordination": self.checkpoint_coordination,
-                "checkpoint_world_size": self.checkpoint_world_size,
-                "checkpoint_lock_stale_seconds": self.checkpoint_lock_stale_seconds,
-                "checkpoint_registry_url": self.checkpoint_registry_url,
-                "checkpoint_registry_tenant": self.checkpoint_registry_tenant,
-                "adaptive_bandwidth": self.adaptive_bandwidth,
-                "bandwidth_smoothing": self.bandwidth_smoothing,
-                "path_quarantine_failures": self.path_quarantine_failures,
-                "path_probe_interval": self.path_probe_interval,
-                "adam": asdict(self.adam),
-            }
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """Serialize to the JSON shape used in the DeepSpeed-style config block.
+
+        Every dataclass field is written under its JSON key
+        (``_JSON_KEY_FIELDS``); unset optional tier attributes are omitted.
+        """
+        block: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "tiers":
+                value = [{k: v for k, v in asdict(t).items() if v is not None} for t in value]
+            elif is_dataclass(value):
+                value = asdict(value)
+            block[_FIELD_JSON_KEYS.get(f.name, f.name)] = value
+        return json.dumps({"mlp_offload": block}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MLPOffloadConfig":
@@ -454,25 +416,3 @@ class MLPOffloadConfig:
             TierConfig(name="pfs", path=str(remote_path), ratio=remote_ratio),
         )
         return cls(tiers=tiers, **overrides)
-
-    def baseline_variant(self) -> "MLPOffloadConfig":
-        """A copy with every MLP-Offload design principle disabled.
-
-        The resulting configuration behaves like the DeepSpeed ZeRO-3
-        baseline: single tier, sequential order, FP32 gradient flush, no
-        concurrency control.
-        """
-        from dataclasses import replace
-
-        return replace(
-            self,
-            tiers=(self.primary_tier,),
-            enable_multipath=False,
-            enable_tier_locks=False,
-            enable_cache_reorder=False,
-            enable_delayed_grad_conversion=False,
-            # The paper's baseline flushes FP32 gradients synchronously in
-            # the backward pass; the async drain is an MLP-Offload-side
-            # improvement and must not leak into the comparison.
-            pipeline_backward_flush=False,
-        )

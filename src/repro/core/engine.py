@@ -12,25 +12,18 @@ against real file-backed tiers:
   run the vectorized CPU Adam, push the refreshed FP16 parameters to the
   rank's working copy, and lazily flush the updated state.
 
-The update phase runs in one of two modes, selected by
-:attr:`~repro.core.config.MLPOffloadConfig.pipeline_update_phase`:
-
-* **pipelined** (default) — a double-buffered lookahead window: asynchronous
-  prefetches for the next :attr:`~repro.core.config.MLPOffloadConfig.prefetch_depth`
-  subgroups are in flight while Adam runs on the current one, and post-update
-  flushes — dirty host-cache evictions included — are issued asynchronously
-  and drained at phase end (a subgroup is never read while its own write is
-  in flight).  Tier I/O thus overlaps the CPU compute (the paper's
-  multi-level pipelining), while the tier-exclusive lock manager keeps
-  multi-path semantics intact — async requests acquire the tier lease on the
-  I/O threads, re-entrantly per worker.
-* **sequential** — the single-buffered Algorithm-1 loop (one subgroup
-  prefetched ahead, every flush synchronous), kept as the ablation baseline;
-  this matches the engine's behaviour before pipelining was introduced.
-
-Both modes produce bitwise-identical optimizer state, parameters and tier
-contents: they perform the same updates in the same order and differ only in
-when the I/O is issued.
+The update phase is one multi-level pipeline: asynchronous prefetches for
+the next :data:`PREFETCH_DEPTH` subgroups are in flight while Adam runs on the
+current one, and every write — post-update flushes and dirty host-cache
+evictions alike — is issued asynchronously behind the compute, reaped by the
+loop and drained by the phase-end barrier (a subgroup is never read while its
+own write is in flight).  The baseline policy's backward-phase FP32 gradient
+flushes are asynchronous too, drained before the next phase fetches them.
+Tier I/O thus overlaps the CPU compute (the paper's multi-level pipelining),
+while the tier-exclusive lock manager keeps multi-path semantics intact —
+async requests acquire the tier lease on the I/O threads, re-entrantly per
+worker.  The schedule decides only *when* I/O is issued: the optimizer state
+and parameters are bitwise those of an in-memory Adam.
 
 All subgroup transfers are zero-copy: fetches deserialize straight into
 scratch arrays leased from a per-engine :class:`~repro.tiers.array_pool.ArrayPool`
@@ -77,6 +70,10 @@ from repro.train.sharding import ShardLayout, Subgroup, flat_views
 from repro.util.logging import get_logger
 
 _LOG = get_logger("core.engine")
+
+#: Lookahead window of the update phase: subgroups prefetched beyond the one
+#: being updated.
+PREFETCH_DEPTH = 2
 
 #: A prefetch in flight: per-field completion futures plus the pooled
 #: destination arrays the reads deserialize into.
@@ -138,7 +135,7 @@ class OffloadEngineBase:
             # the cache lock — its ``on_evict`` runs on the rank thread once
             # the write is reaped.  The pool is two threads per (path,
             # direction) channel, so a throttled sleeper never idles another.
-            queue_depth=max(16, 4 * (config.prefetch_depth + 2) * config.stripe_fanout()),
+            queue_depth=max(16, 4 * (PREFETCH_DEPTH + 2) * config.stripe_fanout()),
             throttles=throttles,
         )
         #: Pool of reusable fetch/flush scratch arrays (zero-copy tier I/O).
@@ -176,8 +173,8 @@ class OffloadEngineBase:
         #: Async backward-phase gradient flushes in flight, by subgroup:
         #: the write futures plus the pooled FP32 payload to recycle.
         self._grad_flushes: Dict[int, Tuple[List["concurrent.futures.Future"], np.ndarray]] = {}
-        #: The pipelined phase's lazy-flush list (evictions join it), else None.
-        self._write_behind: Optional[List[_PendingFlush]] = None
+        #: Lazy flushes in flight (evictions join them); empty between phases.
+        self._write_behind: List[_PendingFlush] = []
         #: Checkpoint save/restore (writer, coordinator, lazily restored
         #: subgroups); ``checkpointer`` is ``None`` without ``checkpoint_dir``.
         self.ckpt = CheckpointSession(
@@ -243,7 +240,7 @@ class OffloadEngineBase:
 
         Returns the seconds spent on gradient handling that land in the
         *backward* phase (zero for the delayed policy; conversion + flush
-        time for the baseline policy).
+        submission time for the baseline policy, whose write lands behind).
         """
         if not self._initialized:
             raise RuntimeError("engine not initialized")
@@ -254,35 +251,20 @@ class OffloadEngineBase:
         payload = backward_flush_payload(self.gradient_policy, self.accumulator, subgroup_index)
         assert payload is not None
         sg = self._by_index[subgroup_index]
-        if self.config.pipeline_backward_flush:
-            # Async drain (same treatment as the update phase's lazy
-            # flushes): copy the payload into a pooled buffer, submit the
-            # write and return — the backward pass no longer waits on the
-            # tier.  Writes to the same subgroup are chained (the previous
-            # in-flight flush is awaited first) so re-flushes across
-            # micro-batches land in accumulation order; everything is
-            # drained before the next update phase fetches gradients.
-            # Await the previous in-flight flush of this subgroup *before*
-            # leasing the staging buffer — if it failed, nothing newly
-            # acquired is stranded by the re-raise.
-            self._await_grad_flush(subgroup_index)
-            staged = self.pool.acquire(sg.num_params, np.float32)
-            np.copyto(staged, payload)
-            futures = self.tier.flush_subgroup(
-                sg.key, sg.index, {GRAD_FIELD: staged}, wait=False
-            )
-            self._grad_flushes[subgroup_index] = (list(futures), staged)
-            elapsed = time.perf_counter() - start
-            self.backward_flush_seconds += elapsed
-            return elapsed
-        payload_map = {GRAD_FIELD: payload}
-        if self.tier.will_stripe(payload_map):
-            # A striped flush spans every stripe path; waiting on it while
-            # holding one tier's lease can deadlock two workers (ABBA).
-            self.tier.flush_subgroup(sg.key, sg.index, payload_map, wait=True)
-        else:
-            with self.concurrency.exclusive(self.tier.placement.tier_of(sg.index), self.worker):
-                self.tier.flush_subgroup(sg.key, sg.index, payload_map, wait=True)
+        # Async drain (same treatment as the update phase's lazy flushes):
+        # copy the payload into a pooled buffer, submit the write and return
+        # — the backward pass never waits on the tier.  Writes to the same
+        # subgroup are chained (the previous in-flight flush is awaited
+        # first) so re-flushes across micro-batches land in accumulation
+        # order; everything is drained before the next update phase fetches
+        # gradients.  Await the previous in-flight flush of this subgroup
+        # *before* leasing the staging buffer — if it failed, nothing newly
+        # acquired is stranded by the re-raise.
+        self._await_grad_flush(subgroup_index)
+        staged = self.pool.acquire(sg.num_params, np.float32)
+        np.copyto(staged, payload)
+        futures = self.tier.flush_subgroup(sg.key, sg.index, {GRAD_FIELD: staged}, wait=False)
+        self._grad_flushes[subgroup_index] = (list(futures), staged)
         elapsed = time.perf_counter() - start
         self.backward_flush_seconds += elapsed
         return elapsed
@@ -322,13 +304,8 @@ class OffloadEngineBase:
         ``fp16_params_out`` is the rank-local flat FP16 working copy; the
         refreshed parameters of every subgroup are written into it (the
         functional counterpart of the asynchronous H2D push in line 8 of
-        Algorithm 1).
-
-        With :attr:`~repro.core.config.MLPOffloadConfig.pipeline_update_phase`
-        on, fetches run ``prefetch_depth`` subgroups ahead of the Adam compute
-        and flushes drain lazily at phase end; off, one fetch is overlapped
-        and every flush is synchronous (the single-buffered baseline).
-        Results are bitwise-identical either way.
+        Algorithm 1).  Fetches run :data:`PREFETCH_DEPTH` subgroups ahead
+        of the Adam compute and flushes drain behind it.
         """
         if not self._initialized:
             raise RuntimeError("engine not initialized")
@@ -349,7 +326,7 @@ class OffloadEngineBase:
                 (self._update_count + 1) % self.config.checkpoint_interval == 0
             )
         if self._grad_flushes:
-            # Correctness barrier for the pipelined backward flush: every
+            # Correctness barrier for the async backward flush: every
             # FP32 gradient must be durable before this phase fetches it.
             drain_start = time.perf_counter()
             self._drain_grad_flushes()
@@ -371,42 +348,26 @@ class OffloadEngineBase:
         if self.gradient_policy is GradientConversionPolicy.FLUSH_FP32:
             fetch_fields.append(GRAD_FIELD)
 
-        pipelined = self.config.pipeline_update_phase
-        # Lookahead: ``prefetch_depth`` subgroups beyond the current one when
-        # pipelined; the single-buffered one-ahead prefetch of Algorithm 1
-        # otherwise (the sequential baseline keeps the seed engine's shape —
-        # one fetch overlapped, every flush synchronous).
-        slide = self.config.prefetch_depth if pipelined else 1
-        initial = slide + 1 if pipelined else 1
-        stats.prefetch_depth = slide
-
+        stats.prefetch_depth = PREFETCH_DEPTH
         pending: Dict[int, _PendingFetch] = {}
-        inflight_flushes: List[_PendingFlush] = []
-        self._write_behind = inflight_flushes if pipelined else None
         try:
-            self._run_update_loop(
-                order, fetch_fields, slide, initial, pending, inflight_flushes,
-                fp16_params_out, pipelined, stats,
-            )
+            self._run_update_loop(order, fetch_fields, pending, fp16_params_out, stats)
         except BaseException:
             # Leave no I/O in flight and no buffer stranded: a failed phase
             # must still restore pool/tier quiescence before propagating.
-            self._quiesce_io(pending, inflight_flushes)
+            self._quiesce_io(pending)
             raise
-        finally:
-            self._write_behind = None
 
-        # Account I/O performed through cache write-backs (evictions) and
-        # asynchronous flushes that the per-subgroup timers above did not see.
+        # Every flush is asynchronous: account the phase's writes from the
+        # tier counters (the loop timed only the phase-end barrier).
         io_after = self.tier.io_summary()
-        extra_write_bytes = sum(t["bytes_written"] for t in io_after.values()) - sum(
-            t["bytes_written"] for t in io_before.values()
+        stats.flush_bytes = int(
+            sum(t["bytes_written"] for t in io_after.values())
+            - sum(t["bytes_written"] for t in io_before.values())
         )
         extra_write_seconds = sum(t["write_seconds"] for t in io_after.values()) - sum(
             t["write_seconds"] for t in io_before.values()
         )
-        if extra_write_bytes > stats.flush_bytes:
-            stats.flush_bytes = int(extra_write_bytes)
         if extra_write_seconds > stats.flush_seconds:
             stats.flush_seconds = extra_write_seconds
 
@@ -431,16 +392,13 @@ class OffloadEngineBase:
         self,
         order: List[int],
         fetch_fields: List[str],
-        slide: int,
-        initial: int,
         pending: Dict[int, _PendingFetch],
-        inflight_flushes: List[_PendingFlush],
         fp16_params_out: np.ndarray,
-        pipelined: bool,
         stats: UpdatePhaseStats,
     ) -> None:
-        """The fetch → convert → Adam → flush walk over ``order`` (both modes)."""
-        self._fill_prefetch_window(order, 0, initial, pending, fetch_fields, stats)
+        """The fetch → convert → Adam → flush walk over ``order``."""
+        inflight_flushes = self._write_behind
+        self._fill_prefetch_window(order, 0, PREFETCH_DEPTH + 1, pending, fetch_fields, stats)
 
         for position, subgroup_index in enumerate(order):
             sg = self._by_index[subgroup_index]
@@ -455,7 +413,9 @@ class OffloadEngineBase:
                 stats.fetch_bytes += int(sum(a.nbytes for a in arrays.values()))
             # Slide the lookahead window before computing this subgroup
             # (line 11 of Algorithm 1).
-            self._fill_prefetch_window(order, position + 1, slide, pending, fetch_fields, stats)
+            self._fill_prefetch_window(
+                order, position + 1, PREFETCH_DEPTH, pending, fetch_fields, stats
+            )
 
             # Delayed (or stored) gradient conversion, into pooled scratch.
             conv_start = time.perf_counter()
@@ -491,23 +451,15 @@ class OffloadEngineBase:
 
             # Lazy flush: keep the updated subgroup in the host cache and let
             # eviction write it back; if the cache cannot hold it, flush.
-            # Pipelined, both kinds of write go on ``inflight_flushes``;
-            # sequential, both are synchronous.
+            # Both kinds of write go on ``inflight_flushes``.
             updated = {
                 "params": state.params,
                 "exp_avg": state.exp_avg,
                 "exp_avg_sq": state.exp_avg_sq,
             }
             if not self.cache.put(subgroup_index, updated, dirty=True):
-                if pipelined:
-                    release = functools.partial(self.pool.release_all, list(updated.values()))
-                    inflight_flushes.append(self._flush_behind(sg, updated, release))
-                else:
-                    flush_start = time.perf_counter()
-                    self._flush_now(sg, updated)
-                    stats.flush_seconds += time.perf_counter() - flush_start
-                    stats.flush_bytes += int(sum(a.nbytes for a in updated.values()))
-                    self.pool.release_all(updated.values())
+                release = functools.partial(self.pool.release_all, list(updated.values()))
+                inflight_flushes.append(self._flush_behind(sg, updated, release))
             else:
                 stats.skipped_flushes += 1
 
@@ -668,7 +620,7 @@ class OffloadEngineBase:
     def _await_write_behind(self, subgroup_index: int) -> None:
         """Read-after-write: land this subgroup's in-flight write first (before
         its stripe commit, a striped read plans against the old manifest)."""
-        inflight = self._write_behind or []
+        inflight = self._write_behind
         mine = [entry for entry in inflight if entry[0] == subgroup_index]
         if mine:
             inflight[:] = [entry for entry in inflight if entry[0] != subgroup_index]
@@ -697,9 +649,7 @@ class OffloadEngineBase:
             self.pool.release_all(outs.values())
         pending.clear()
 
-    def _quiesce_io(
-        self, pending: Dict[int, _PendingFetch], inflight: List[_PendingFlush]
-    ) -> None:
+    def _quiesce_io(self, pending: Dict[int, _PendingFetch]) -> None:
         """Best-effort teardown after a failed phase: await all in-flight I/O
         and recycle every buffer, swallowing secondary errors so the original
         exception propagates."""
@@ -712,20 +662,10 @@ class OffloadEngineBase:
             self.pool.release_all(outs.values())
         pending.clear()
         try:
-            self._land(inflight)
+            self._land(self._write_behind)
         except BaseException:  # noqa: BLE001 - already failing
             pass
-        inflight.clear()
-
-    def _flush_now(self, sg: Subgroup, arrays: Mapping[str, np.ndarray]) -> None:
-        tier_name = self._flush_target(sg, arrays)
-        if self.tier.will_stripe(arrays):
-            # Multi-path flush: no single-tier lease (deadlock note on
-            # flush_subgroup); per-request leases serialize each stripe.
-            self.tier.flush_subgroup(sg.key, sg.index, arrays, tier=tier_name, wait=True)
-            return
-        with self.concurrency.exclusive(tier_name, self.worker):
-            self.tier.flush_subgroup(sg.key, sg.index, arrays, tier=tier_name, wait=True)
+        self._write_behind.clear()
 
     def _flush_target(self, sg: Subgroup, arrays: Mapping[str, np.ndarray]) -> str:
         """Pick the tier the subgroup should be flushed to (line 9 of Algorithm 1).
@@ -756,13 +696,16 @@ class OffloadEngineBase:
 
     def _writeback(
         self, subgroup_index: int, arrays: Mapping[str, np.ndarray]
-    ) -> Optional[concurrent.futures.Future]:
-        """Cache-eviction callback: write a dirty subgroup back to its tier; in a
-        pipelined phase behind, returning the future that lands (releases) it."""
+    ) -> concurrent.futures.Future:
+        """Cache-eviction callback: write a dirty subgroup back behind the
+        update loop, returning the future that lands (releases) it.
+
+        Only an update phase puts dirty entries; every put outside a phase is
+        clean and goes into a fresh cache (``initialize``, checkpoint
+        restore).  So a dirty eviction happens only inside a phase, whose
+        loop and end barrier reap the write.
+        """
         sg = self._by_index[subgroup_index]
-        if self._write_behind is None:
-            self._flush_now(sg, arrays)
-            return None
         # One write behind at a time (the pool's footprint): the previous one
         # finishes first; the loop reaps it, raising its error outside ``put``.
         concurrent.futures.wait([f for entry in self._write_behind for f in entry[1]])

@@ -92,8 +92,10 @@ def update_time_gradient(
     the host accumulation buffer and is up-converted here ("in place" in the
     sense that no storage round-trip is involved).  For
     :attr:`GradientConversionPolicy.FLUSH_FP32` the caller passes the FP32
-    gradient it fetched from storage (``stored_fp32``); the accumulator is
-    only used to fall back when the stored copy is missing (first iteration).
+    gradient it fetched from storage (``stored_fp32``); when there is none (a
+    host-cache hit fetches no gradient) the accumulator supplies the same
+    value the backward pass flushed — its FP16 copy, up-converted — so the
+    update never depends on whether the subgroup was cached.
 
     ``out`` is an optional preallocated FP32 destination (the engine's pooled
     conversion scratch); when usable it makes the call allocation-free with
@@ -104,16 +106,16 @@ def update_time_gradient(
     if policy is GradientConversionPolicy.DELAYED_FP16:
         return accumulator.gradient_fp32(subgroup_index, average=average, out=out)
     if policy is GradientConversionPolicy.FLUSH_FP32:
-        if stored_fp32 is not None:
-            grad = stored_fp32.astype(np.float32, copy=False)
-            if average and accumulator.accumulated_steps > 1:
-                steps = float(accumulator.accumulated_steps)
-                if out is not None and out.shape == grad.shape:
-                    np.divide(grad, steps, out=out)
-                    return out
-                grad = grad / steps
-            return grad
-        return accumulator.gradient_fp32(subgroup_index, average=average, out=out)
+        if stored_fp32 is None:
+            stored_fp32 = fp16_to_fp32(accumulator.gradient_fp16(subgroup_index))
+        grad = stored_fp32.astype(np.float32, copy=False)
+        if average and accumulator.accumulated_steps > 1:
+            steps = float(accumulator.accumulated_steps)
+            if out is not None and out.shape == grad.shape:
+                np.divide(grad, steps, out=out)
+                return out
+            grad = grad / steps
+        return grad
     raise ValueError(f"unknown policy {policy!r}")
 
 

@@ -28,10 +28,10 @@ class UpdatePhaseStats:
     conversion_seconds: float = 0.0
     wall_seconds: float = 0.0
     skipped_flushes: int = 0
-    #: Lookahead window the phase ran with (``prefetch_depth``; 1 sequential).
+    #: Lookahead window the phase ran with (the engine's ``PREFETCH_DEPTH``).
     prefetch_depth: int = 0
     #: Time spent draining async backward-phase gradient flushes at the
-    #: start of the update phase (FLUSH_FP32 policy with pipelining on).
+    #: start of the update phase (FLUSH_FP32 policy).
     grad_drain_seconds: float = 0.0
     #: Transient tier-I/O failures absorbed by the engine's retry policy
     #: during this phase (the training loop never saw them).

@@ -19,7 +19,7 @@ when unfiltered).
 The registry at the bottom holds the paper's experiment axes — one matrix
 per simulated figure family (Figures 7–15; the ablation rungs come from
 :mod:`repro.zero.variants`) — plus one real-engine matrix exercising the
-functional trainer across codec × pipeline × coordination knobs.
+functional trainer across codec × coordination knobs.
 """
 
 from __future__ import annotations
@@ -246,12 +246,11 @@ def _builtin_matrices() -> Dict[str, ScenarioMatrix]:
             name="engine_smoke",
             kind="engine",
             description=(
-                "Real FunctionalTrainer cells: codec x update pipeline x "
-                "checkpoint coordination, with bitwise reference + restore checks"
+                "Real FunctionalTrainer cells: codec x checkpoint coordination, "
+                "with bitwise reference + restore checks"
             ),
             axes=(
                 Axis("codec", ("raw", "null", "shuffle-deflate")),
-                Axis("pipeline", (False, True)),
                 Axis("coordination", (False, True)),
             ),
             fixed={"iterations": 2},

@@ -347,7 +347,7 @@ def run_engine_cell(params: Cell, *, seed: int = 0) -> Dict[str, Any]:
     * ``final_loss`` — the last iteration's mean loss;
     * ``matches_reference`` — FP16 working copy and FP32 masters bitwise
       equal to the in-memory reference trainer (the engine must not change
-      the math, whatever the codec/pipeline/coordination cell says);
+      the math, whatever the codec/coordination cell says);
     * ``restore_ok`` — a fresh engine restoring the last committed checkpoint
       resumes with a bitwise-identical working copy.
     """
@@ -382,7 +382,6 @@ def run_engine_cell(params: Cell, *, seed: int = 0) -> Dict[str, Any]:
             subgroup_size=subgroup,
             host_cache_bytes=2 * subgroup * 12,
             adam=AdamConfig(lr=1e-3),
-            pipeline_update_phase=bool(params.get("pipeline", True)),
             checkpoint_dir=str(scratch / "ckpt"),
             checkpoint_codec=str(params.get("codec", MLPOffloadConfig.checkpoint_codec)),
             checkpoint_coordination=bool(params.get("coordination", False)),

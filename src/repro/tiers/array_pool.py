@@ -12,7 +12,7 @@ performs **zero** new allocations.
 Unlike :class:`repro.tiers.host_buffer.BufferPool` (a fixed-capacity pool with
 blocking semantics modelling the *pinned-memory budget*), this pool is
 elastic: a miss allocates, a release recycles.  Its hit rate is therefore a
-direct measurement of allocation-freeness — the pipelined engine asserts it
+direct measurement of allocation-freeness — the engine asserts it
 approaches 1.0 after warm-up.
 
 Ownership contract: arrays returned by :meth:`acquire` remain valid until

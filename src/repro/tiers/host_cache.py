@@ -67,10 +67,10 @@ class HostSubgroupCache:
         has landed.  If ``None``, dirty evictions raise.
     on_evict:
         Callable invoked with ``(subgroup_id, arrays)`` whenever an entry
-        *leaves* the cache (eviction or :meth:`clear` — not
-        :meth:`flush_dirty`, which keeps entries resident) and no write can
-        still read its arrays: at once for a clean entry, after the writeback
-        for a dirty one — from the future's completion for a write-behind.
+        *leaves* the cache (eviction, or arrays replaced by a refresh) and no
+        write can still read its arrays: at once for a clean entry, after the
+        writeback for a dirty one — from the future's completion for a
+        write-behind.
         The offloading engine uses it to return pooled scratch buffers to
         their :class:`~repro.tiers.array_pool.ArrayPool`.
     """
@@ -162,49 +162,6 @@ class HostSubgroupCache:
                 # Arrays replaced (not carried over) have left the cache.
                 self._notify_evict(existing, keep=arrays)
             return True
-
-    def mark_dirty(self, subgroup_id: int) -> None:
-        with self._lock:
-            entry = self._entries.get(subgroup_id)
-            if entry is None:
-                raise KeyError(f"subgroup {subgroup_id} not cached")
-            entry.dirty = True
-
-    def mark_clean(self, subgroup_id: int) -> None:
-        with self._lock:
-            entry = self._entries.get(subgroup_id)
-            if entry is None:
-                raise KeyError(f"subgroup {subgroup_id} not cached")
-            entry.dirty = False
-
-    def evict(self, subgroup_id: int) -> bool:
-        """Explicitly evict one subgroup; returns whether it was resident."""
-        with self._lock:
-            entry = self._entries.pop(subgroup_id, None)
-            if entry is None:
-                return False
-            self._depart(entry)
-            self.stats.evictions += 1
-            return True
-
-    def flush_dirty(self) -> int:
-        """Write back every dirty entry (keeping it cached); returns the count flushed."""
-        flushed = 0
-        with self._lock:
-            for entry in self._entries.values():
-                if entry.dirty:
-                    self._writeback_if_dirty(entry)
-                    entry.dirty = False
-                    flushed += 1
-        return flushed
-
-    def clear(self) -> None:
-        """Evict everything (dirty entries are written back)."""
-        with self._lock:
-            for entry in list(self._entries.values()):
-                self._depart(entry)
-                self.stats.evictions += 1
-            self._entries.clear()
 
     # -- internals -------------------------------------------------------
 

@@ -40,9 +40,6 @@ def zero3_config(config: MLPOffloadConfig) -> MLPOffloadConfig:
         enable_tier_locks=False,
         enable_cache_reorder=False,
         enable_delayed_grad_conversion=False,
-        # The baseline's backward-phase FP32 gradient flush is synchronous;
-        # the async drain is an MLP-Offload-side improvement.
-        pipeline_backward_flush=False,
     )
 
 

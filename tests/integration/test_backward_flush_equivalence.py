@@ -1,13 +1,13 @@
-"""Pipelined backward gradient flush: bitwise equivalence with the sync path.
+"""Asynchronous backward gradient flush: bitwise equivalence with in-memory Adam.
 
 The FLUSH_FP32 baseline policy writes each subgroup's up-converted FP32
-gradient to its tier during the backward pass.  With
-``pipeline_backward_flush`` on, those writes are submitted asynchronously
-through pooled staging buffers and drained before the update phase fetches
-them — a pure scheduling change.  These tests pin the contract: identical
-Adam state, FP16 parameters and tier contents, including with gradient
-accumulation (where the same gradient key is re-flushed every micro-batch
-and the writes must land in accumulation order).
+gradient to its tier during the backward pass.  Those writes are submitted
+asynchronously through pooled staging buffers and drained before the update
+phase fetches them — a pure scheduling change.  These tests pin the
+contract: the Adam state, FP16 parameters and step counters of an
+offloading-free in-memory Adam, including with gradient accumulation (where
+the same gradient key is re-flushed every micro-batch and the writes must
+land in accumulation order).
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ TOTAL_PARAMS = 6_000
 SUBGROUP = 750
 
 
-def make_engine(root, *, pipelined, striped=True):
+def make_engine(root, *, striped=True):
     (root / "nvme").mkdir(parents=True, exist_ok=True)
     (root / "pfs").mkdir(parents=True, exist_ok=True)
     config = MLPOffloadConfig(
@@ -33,7 +33,6 @@ def make_engine(root, *, pipelined, striped=True):
         subgroup_size=SUBGROUP,
         host_cache_bytes=2 * SUBGROUP * 12,
         enable_delayed_grad_conversion=False,  # the policy that flushes grads
-        pipeline_backward_flush=pipelined,
         stripe=StripeConfig(threshold_bytes=float(SUBGROUP * 2) if striped else float(1 << 30)),
         adam=AdamConfig(lr=1e-3),
     )
@@ -41,51 +40,33 @@ def make_engine(root, *, pipelined, striped=True):
     return MLPOffloadEngine(config, layout, rank=0), layout
 
 
-def run_training(root, *, pipelined, micro_batches=1, striped=True, rng_seed=7):
-    engine, layout = make_engine(root, pipelined=pipelined, striped=striped)
+@pytest.mark.parametrize("micro_batches", [1, 3])
+@pytest.mark.parametrize("striped", [True, False])
+def test_async_backward_flush_is_bitwise_equivalent(
+    tmp_path, micro_batches, striped, assert_matches_in_memory_adam
+):
+    engine, layout = make_engine(tmp_path, striped=striped)
     views = flat_views(None, layout, 0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(7)
     initial = rng.standard_normal(TOTAL_PARAMS).astype(np.float32)
+    phases = [
+        [rng.standard_normal(TOTAL_PARAMS).astype(np.float32) * 0.1 for _ in range(micro_batches)]
+        for _ in range(3)
+    ]
     with engine:
         engine.initialize(initial.copy())
         fp16 = initial.astype(np.float16)
-        flush_seconds = []
-        for _ in range(3):
-            for _ in range(micro_batches):
-                grad = rng.standard_normal(TOTAL_PARAMS).astype(np.float32) * 0.1
+        for micro in phases:
+            for grad in micro:
                 for index, view in views.items():
-                    flush_seconds.append(
-                        engine.on_backward_gradient(index, grad[view].astype(np.float16))
-                    )
+                    engine.on_backward_gradient(index, grad[view].astype(np.float16))
                 engine.on_microbatch_complete()
-            report = engine.run_update(fp16)
-        master = engine.fetch_master_params()
-        tier_blobs = {}
-        for name, store in engine.tier.stores.items():
-            for key in store.keys():
-                tier_blobs[(name, key)] = store.read(key).tobytes()
-    return fp16, master, tier_blobs, flush_seconds, report
-
-
-@pytest.mark.parametrize("micro_batches", [1, 3])
-@pytest.mark.parametrize("striped", [True, False])
-def test_async_backward_flush_is_bitwise_equivalent(tmp_path, micro_batches, striped):
-    fp16_sync, master_sync, blobs_sync, _, _ = run_training(
-        tmp_path / "sync", pipelined=False, micro_batches=micro_batches, striped=striped
-    )
-    fp16_pipe, master_pipe, blobs_pipe, _, report = run_training(
-        tmp_path / "pipe", pipelined=True, micro_batches=micro_batches, striped=striped
-    )
-    assert np.array_equal(fp16_sync, fp16_pipe)
-    assert np.array_equal(master_sync, master_pipe)
-    assert blobs_sync == blobs_pipe, "tier contents diverged between flush modes"
-    # The drain barrier is accounted where it lands (start of the update
-    # phase) — it exists whenever flushes were still in flight.
-    assert report.stats.grad_drain_seconds >= 0.0
+            engine.run_update(fp16)
+        assert_matches_in_memory_adam(engine, fp16, initial, phases)
 
 
 def test_async_flush_leaves_no_buffers_or_io_behind(tmp_path):
-    engine, layout = make_engine(tmp_path / "drain", pipelined=True)
+    engine, layout = make_engine(tmp_path / "drain")
     views = flat_views(None, layout, 0)
     rng = np.random.default_rng(11)
     initial = rng.standard_normal(TOTAL_PARAMS).astype(np.float32)

@@ -143,16 +143,13 @@ def test_crash_mid_backward(tmp_path, workload):
     assert_equivalent(run_reference(tmp_path, workload), resumed)
 
 
-@pytest.mark.parametrize("pipelined_flush", [False, True])
-def test_crash_mid_backward_flush(tmp_path, workload, pipelined_flush):
+def test_crash_mid_backward_flush(tmp_path, workload):
     """FLUSH_FP32 baseline killed with FP32 gradients partially flushed.
 
     The crashed process left newer gradient blobs on the tiers than the
     checkpoint knows about; restore must discard them.
     """
-    overrides = dict(
-        enable_delayed_grad_conversion=False, pipeline_backward_flush=pipelined_flush
-    )
+    overrides = dict(enable_delayed_grad_conversion=False)
 
     def crash(engine, fp16, views, grads):
         for index, view in list(views.items())[: len(views) // 2]:

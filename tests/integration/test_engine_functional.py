@@ -14,7 +14,7 @@ from repro.core.engine import MLPOffloadEngine
 from repro.core.gradient_policy import GradientConversionPolicy
 from repro.tiers.file_store import StoreError
 from repro.train.adam import AdamConfig, AdamState, adam_update
-from repro.train.sharding import build_shard_layout, flat_views
+from repro.train.sharding import GRAD_FIELD, build_shard_layout, flat_views
 from repro.zero.zero3_engine import ZeRO3OffloadEngine
 
 TOTAL_PARAMS = 5_000
@@ -160,8 +160,16 @@ class TestEngineBehaviour:
             for i, v in views.items():
                 seconds += engine.on_backward_gradient(i, grads[0][v].astype(np.float16))
             assert seconds > 0.0
-            summary = engine.tier.io_summary()
-            assert summary["nvme"]["bytes_written"] > 0
+            # Every subgroup's FP32 gradient flush is in flight (asynchronous);
+            # the next update phase drains them before fetching.
+            assert sorted(engine._grad_flushes) == sorted(views)
+            written = engine.tier.io_summary()["nvme"]["bytes_written"]
+            engine.on_microbatch_complete()
+            engine.run_update(initial.astype(np.float16))
+            assert not engine._grad_flushes
+            assert engine.tier.io_summary()["nvme"]["bytes_written"] > written
+            stored = set(engine.tier.stores["nvme"].keys())
+            assert all(f"{sg.key}.{GRAD_FIELD}" in stored for sg in engine.subgroups)
 
     def test_mlp_offload_backward_hook_is_free_of_io(self, config, layout, training_inputs):
         initial, grads = training_inputs
@@ -220,13 +228,14 @@ class TestEngineBehaviour:
 
 class TestFailureInjection:
     def test_missing_subgroup_blob_surfaces_as_error(self, config, layout, training_inputs, tier_dirs):
+        from dataclasses import replace
+
         initial, grads = training_inputs
-        engine = MLPOffloadEngine(config, layout, rank=0)
+        # No host cache, so every fetch must hit storage.
+        engine = MLPOffloadEngine(replace(config, host_cache_bytes=0), layout, rank=0)
         try:
             engine.initialize(initial.copy())
-            # Corrupt the offloaded state: delete every blob from both tiers
-            # and drop the host cache so fetches must hit storage.
-            engine.cache.clear()
+            # Corrupt the offloaded state: delete every blob from both tiers.
             for store in engine.tier.stores.values():
                 store.clear()
             views = flat_views(None, layout, 0)

@@ -79,17 +79,13 @@ def _drive(config, layout, initial, grads):
 
 
 class TestStripedBitwiseEquivalence:
-    @pytest.mark.parametrize("pipelined", [False, True])
     @pytest.mark.parametrize("delayed_grads", [True, False])
-    def test_striping_on_matches_off(
-        self, tmp_path, layout, training_inputs, pipelined, delayed_grads
-    ):
+    def test_striping_on_matches_off(self, tmp_path, layout, training_inputs, delayed_grads):
         initial, grads = training_inputs
         off = _drive(
             _make_config(
                 tmp_path / "off",
                 stripe=_stripe(enabled=False),
-                pipeline_update_phase=pipelined,
                 enable_delayed_grad_conversion=delayed_grads,
             ),
             layout,
@@ -100,7 +96,6 @@ class TestStripedBitwiseEquivalence:
             _make_config(
                 tmp_path / "on",
                 stripe=_stripe(enabled=True),
-                pipeline_update_phase=pipelined,
                 enable_delayed_grad_conversion=delayed_grads,
             ),
             layout,
@@ -164,7 +159,6 @@ class TestStripedBitwiseEquivalence:
         config = _make_config(
             tmp_path / "mw",
             stripe=_stripe(enabled=True),
-            pipeline_update_phase=False,
             enable_delayed_grad_conversion=False,  # exercise the backward flush too
         )
         manager = TierLockManager()

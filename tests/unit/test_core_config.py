@@ -1,11 +1,16 @@
 """Unit tests for the MLP-Offload configuration surface."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.core.config import IOBackendConfig, MLPOffloadConfig, StripeConfig, TierConfig
 from repro.train.adam import AdamConfig
+
+#: ``to_json`` of ``MLPOffloadConfig.local_and_remote("/local", "/remote")``.
+TWO_TIER_JSON = Path(__file__).resolve().parents[1] / "data" / "mlp_offload_two_tier.json"
 
 #: Options that were deleted, each with a value an old config file may hold.
 DROPPED_KEYS = [
@@ -14,6 +19,9 @@ DROPPED_KEYS = [
     ("adaptive_prefetch_depth", True),
     ("max_prefetch_depth", 8),
     ("checkpoint_streaming_restore", False),
+    ("pipeline_update_phase", False),
+    ("prefetch_depth", 4),
+    ("pipeline_backward_flush", False),
 ]
 
 
@@ -85,6 +93,55 @@ class TestMLPOffloadConfig:
         assert restored.enable_multipath == two_tier_config.enable_multipath
         assert restored.host_cache_bytes == two_tier_config.host_cache_bytes
 
+    def test_json_round_trip_of_every_field(self):
+        """Every field, each set away from its default, survives
+        ``from_json(to_json(c))`` — a field ``to_json`` missed would not."""
+        config = MLPOffloadConfig(
+            tiers=(
+                TierConfig("nvme", "/local", read_bw=6.9e9, write_bw=5.3e9, ratio=2.0),
+                TierConfig("pfs", "/remote", ratio=1.0),
+            ),
+            subgroup_size=1000,
+            host_cache_bytes=64 * 1024.0,
+            enable_multipath=False,
+            enable_tier_locks=False,
+            enable_cache_reorder=False,
+            enable_delayed_grad_conversion=False,
+            io=IOBackendConfig(
+                backend="thread",
+                alignment_bytes=512,
+                retry_attempts=5,
+                retry_backoff_seconds=0.01,
+                deadline_seconds=2.0,
+            ),
+            stripe=StripeConfig(enabled=False, threshold_bytes=4096.0, paths=1),
+            checkpoint_dir="/ckpt",
+            checkpoint_interval=3,
+            checkpoint_retention=4,
+            checkpoint_codec="shuffle-deflate",
+            checkpoint_coordination=True,
+            checkpoint_world_size=2,
+            checkpoint_lock_stale_seconds=5.0,
+            checkpoint_registry_url="http://localhost:9",
+            checkpoint_registry_tenant="team-a",
+            adam=AdamConfig(lr=1e-3, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=0.1),
+            adaptive_bandwidth=False,
+            bandwidth_smoothing=0.25,
+            path_quarantine_failures=5,
+            path_probe_interval=2,
+        )
+        default = MLPOffloadConfig(tiers=config.tiers)
+        for f in fields(MLPOffloadConfig):
+            if f.name != "tiers":
+                assert getattr(config, f.name) != getattr(default, f.name), f.name
+        assert MLPOffloadConfig.from_json(config.to_json()) == config
+
+    def test_default_two_tier_json_is_pinned(self):
+        """The serialized default configuration only changes on purpose."""
+        config = MLPOffloadConfig.local_and_remote("/local", "/remote")
+        expected = json.loads(TWO_TIER_JSON.read_text(encoding="utf-8"))
+        assert json.loads(config.to_json()) == expected
+
     @pytest.mark.parametrize("key, value", DROPPED_KEYS)
     def test_json_with_a_dropped_key_still_parses(self, two_tier_config, key, value):
         """Configs written while a since-deleted option existed load
@@ -106,8 +163,6 @@ class TestMLPOffloadConfig:
     ):
         """A key absent from the JSON block must mean the dataclass default,
         never a second spelling of it that can drift."""
-        from dataclasses import fields
-
         tiers = [
             {k: v for k, v in vars(t).items() if v is not None} for t in two_tier_config.tiers
         ]
@@ -120,17 +175,6 @@ class TestMLPOffloadConfig:
     def test_from_json_requires_top_level_key(self):
         with pytest.raises(ValueError):
             MLPOffloadConfig.from_json("{}")
-
-    def test_baseline_variant_disables_everything(self, two_tier_config):
-        base = two_tier_config.baseline_variant()
-        assert base.tier_names == ["nvme"]
-        assert not base.enable_multipath
-        assert not base.enable_tier_locks
-        assert not base.enable_cache_reorder
-        assert not base.enable_delayed_grad_conversion
-        # Shared knobs are preserved so comparisons are apples to apples.
-        assert base.subgroup_size == two_tier_config.subgroup_size
-        assert base.adam == two_tier_config.adam
 
     def test_factory_helpers(self, tier_dirs):
         single = MLPOffloadConfig.single_tier(tier_dirs["nvme"], subgroup_size=10)

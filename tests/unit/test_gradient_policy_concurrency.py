@@ -62,8 +62,17 @@ class TestUpdateTimeGradient:
         np.testing.assert_allclose(grad, stored)
 
     def test_baseline_policy_falls_back_to_accumulator(self, accumulator):
-        grad = update_time_gradient(GradientConversionPolicy.FLUSH_FP32, accumulator, 0)
-        np.testing.assert_allclose(grad, accumulator.gradient_fp32(0))
+        """Without a stored copy (a host-cache hit) the gradient is the one
+        the backward pass flushed, so caching cannot change the update."""
+        # A second micro-batch makes the FP32 sum inexact in FP16.
+        accumulator.accumulate(0, np.full(1000, 1 / 3, dtype=np.float16))
+        accumulator.mark_microbatch_done()
+        grad = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, average=False
+        )
+        assert not np.array_equal(grad, accumulator.gradient_fp32(0, average=False))
+        flushed = backward_flush_payload(GradientConversionPolicy.FLUSH_FP32, accumulator, 0)
+        np.testing.assert_array_equal(grad, flushed)
 
     def test_backward_flush_payload(self, accumulator):
         assert backward_flush_payload(GradientConversionPolicy.DELAYED_FP16, accumulator, 0) is None

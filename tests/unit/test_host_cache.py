@@ -83,42 +83,11 @@ class TestDirtyTracking:
         cache.put(1, _arrays(50), dirty=False)
         assert calls == []
 
-    def test_flush_dirty_keeps_entries_resident(self):
-        written = []
-        cache = HostSubgroupCache(capacity_bytes=10_000, writeback=lambda sg, a: written.append(sg))
-        cache.put(0, _arrays(10), dirty=True)
-        cache.put(1, _arrays(10), dirty=False)
-        assert cache.flush_dirty() == 1
-        assert written == [0]
-        assert 0 in cache and 1 in cache
-        assert cache.flush_dirty() == 0  # now clean
-
-    def test_mark_dirty_and_clean(self):
-        cache = HostSubgroupCache(capacity_bytes=10_000, writeback=lambda *a: None)
-        cache.put(0, _arrays(10))
-        cache.mark_dirty(0)
-        assert cache.entry(0).dirty
-        cache.mark_clean(0)
-        assert not cache.entry(0).dirty
-        with pytest.raises(KeyError):
-            cache.mark_dirty(99)
-
     def test_refresh_preserves_dirty_flag(self):
         cache = HostSubgroupCache(capacity_bytes=10_000, writeback=lambda *a: None)
         cache.put(0, _arrays(10), dirty=True)
         cache.put(0, _arrays(10), dirty=False)  # refresh must not lose the pending write
         assert cache.entry(0).dirty
-
-    def test_explicit_evict_and_clear(self):
-        written = []
-        cache = HostSubgroupCache(capacity_bytes=10_000, writeback=lambda sg, a: written.append(sg))
-        cache.put(0, _arrays(10), dirty=True)
-        cache.put(1, _arrays(10))
-        assert cache.evict(0)
-        assert not cache.evict(0)
-        assert written == [0]
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestWriteBehindOwnership:

@@ -1,10 +1,11 @@
 """Each update phase reports the lookahead window it ran with (results at
-any depth are bitwise-identical: ``tests/integration/test_pipeline_equivalence.py``)."""
+any depth match in-memory Adam bitwise: ``tests/integration/test_pipeline_equivalence.py``)."""
 
 import numpy as np
 
+import repro.core.engine as engine_module
 from repro.core.config import MLPOffloadConfig, TierConfig
-from repro.core.engine import MLPOffloadEngine
+from repro.core.engine import PREFETCH_DEPTH, MLPOffloadEngine
 from repro.train.adam import AdamConfig
 from repro.train.sharding import build_shard_layout, flat_views
 
@@ -12,7 +13,7 @@ TOTAL_PARAMS = 6_000
 SUBGROUP = 750
 
 
-def run_training(root, **overrides):
+def run_training(root):
     """Three update phases; the lookahead window each one reports."""
     (root / "nvme").mkdir(parents=True, exist_ok=True)
     (root / "pfs").mkdir(parents=True, exist_ok=True)
@@ -23,7 +24,6 @@ def run_training(root, **overrides):
         ),
         subgroup_size=SUBGROUP,
         adam=AdamConfig(lr=1e-3),
-        **overrides,
     )
     layout = build_shard_layout(TOTAL_PARAMS, num_ranks=1, subgroup_size=SUBGROUP)
     views = flat_views(None, layout, 0)
@@ -43,8 +43,9 @@ def run_training(root, **overrides):
     return depths
 
 
-def test_phase_reports_the_configured_depth(tmp_path):
-    assert run_training(tmp_path / "deep", prefetch_depth=3) == [3, 3, 3]
+def test_phase_reports_the_configured_depth(tmp_path, monkeypatch):
+    assert PREFETCH_DEPTH == 2
     assert run_training(tmp_path / "default") == [2, 2, 2]
-    assert run_training(tmp_path / "sequential", pipeline_update_phase=False) == [1, 1, 1]
+    monkeypatch.setattr(engine_module, "PREFETCH_DEPTH", 3)
+    assert run_training(tmp_path / "deep") == [3, 3, 3]
 

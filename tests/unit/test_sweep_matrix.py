@@ -21,7 +21,7 @@ EXPECTED_CELL_COUNTS = {
     "batch_size": 8,
     "ablation_nvme": 12,
     "ablation_multipath": 9,
-    "engine_smoke": 12,
+    "engine_smoke": 6,
 }
 
 
@@ -96,7 +96,7 @@ def test_campaign_sample_is_seed_deterministic():
     other = campaign_sample(cells, 4, seed=12)
     assert first == again
     assert len(first) == 4
-    assert first != other  # overwhelmingly likely for a 12-choose-4 space
+    assert first != other  # seeds 11 and 12 pick different 4-of-6 samples
     # Samples keep matrix order (stable resume paths + readable tables).
     keys = [cell_key(cell) for cell in cells]
     assert sorted(first, key=lambda c: keys.index(cell_key(c))) == first

@@ -7,6 +7,7 @@ import pytest
 from repro.bench import experiments
 from repro.bench.harness import ExperimentResult, format_table, paper_vs_measured
 from repro.core.config import MLPOffloadConfig, TierConfig
+from repro.train.adam import AdamConfig
 from repro.zero.variants import (
     ABLATION_LADDER_MULTIPATH,
     ABLATION_LADDER_NVME,
@@ -23,6 +24,7 @@ def full_config(tier_dirs):
             TierConfig("pfs", str(tier_dirs["pfs"]), read_bw=3.6e9, write_bw=3.6e9),
         ),
         subgroup_size=100,
+        adam=AdamConfig(lr=1e-3),
     )
 
 
@@ -36,7 +38,9 @@ class TestZero3Config:
             or base.enable_cache_reorder
             or base.enable_delayed_grad_conversion
         )
+        # Shared knobs are preserved so comparisons are apples to apples.
         assert base.subgroup_size == full_config.subgroup_size
+        assert base.adam == full_config.adam
 
 
 class TestAblationLadders:
