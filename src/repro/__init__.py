@@ -19,16 +19,16 @@ Top-level subpackages
     ablation variants used in the paper's ablation study.
 ``repro.tiers``
     Memory/storage tier substrate: tier specifications (Table 1 testbeds),
-    file-backed NVMe/PFS stores, host buffer pools and the host subgroup
-    cache.
+    file-backed NVMe/PFS stores, the scratch-array pool and the host
+    subgroup cache.
 ``repro.aio``
     Asynchronous I/O engine (libaio / DeepNVMe stand-in): thread-pool async
     reads/writes, bandwidth throttling, process-exclusive locks and
     bandwidth microbenchmarks.
 ``repro.train``
-    LLM training substrate: Table 2 model geometries, mixed-precision state,
-    subgroup sharding, vectorized CPU Adam, gradient accumulation, parallel
-    topology and a functional trainer for end-to-end tests.
+    LLM training substrate: Table 2 model geometries, subgroup sharding,
+    vectorized CPU Adam, FP16 gradient accumulation, parallel topology and a
+    functional trainer for end-to-end tests.
 ``repro.sim``
     Discrete-event simulator reproducing iteration timelines (forward,
     backward, update with overlapped I/O) on the paper's testbeds.

@@ -195,14 +195,6 @@ class TierIOStats:
     #: ended up on).
     backend: str = "thread"
 
-    @property
-    def effective_read_bw(self) -> float:
-        return self.bytes_read / self.read_seconds if self.read_seconds else 0.0
-
-    @property
-    def effective_write_bw(self) -> float:
-        return self.bytes_written / self.write_seconds if self.write_seconds else 0.0
-
 
 def chain_io_result(
     future: "concurrent.futures.Future[IOResult]",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -140,19 +140,6 @@ class TierLockManager:
                 self._stats_for(tier).hold_seconds += time.perf_counter() - lease.acquired_at
                 del self._owners[tier]
                 self._cond.notify_all()
-
-    def try_acquire_any(self, tiers: List[str], worker: str) -> Optional[TierLease]:
-        """Non-blocking attempt to acquire *any* of ``tiers``, in the given order.
-
-        This is the primitive behind the "natural interleaving" of §3.2: a
-        worker that cannot get its preferred tier immediately tries the other
-        physical tiers of the virtual tier before falling back to waiting.
-        """
-        for tier in tiers:
-            lease = self.acquire(tier, worker, blocking=False)
-            if lease is not None:
-                return lease
-        return None
 
     def owner_of(self, tier: str) -> Optional[str]:
         with self._cond:

@@ -119,31 +119,6 @@ class BandwidthThrottle:
             time.sleep(wait)
         return cost
 
-    def set_bytes_per_second(
-        self, bytes_per_second: float, *, write_bytes_per_second: "float | None" = None
-    ) -> None:
-        """Re-rate the throttle mid-run (a path degrading or recovering).
-
-        The fault-tolerance demos and benchmarks use this to model a stripe
-        path whose bandwidth collapses under congestion: already-queued
-        transfers keep the charge they were given; only transfers consumed
-        after the call see the new rate.  Passing
-        ``write_bytes_per_second=None`` (the default) clears any separate
-        write rate rather than preserving it — the new shape is exactly what
-        the call specifies.
-        """
-        if bytes_per_second <= 0:
-            raise ValueError("bytes_per_second must be positive")
-        if write_bytes_per_second is not None and write_bytes_per_second <= 0:
-            raise ValueError("write_bytes_per_second must be positive when given")
-        with self._lock:
-            self.bytes_per_second = float(bytes_per_second)
-            self.write_bytes_per_second = (
-                float(write_bytes_per_second)
-                if write_bytes_per_second is not None
-                else None
-            )
-
     @property
     def consumed_bytes(self) -> int:
         with self._lock:

@@ -139,17 +139,3 @@ def five_number_summary(values: Sequence[float]) -> Dict[str, float]:
         "whisker_lo": min(v for v in data if v >= lo_fence),
         "whisker_hi": max(v for v in data if v <= hi_fence),
     }
-
-
-def paper_vs_measured(
-    label: str, paper_value: float, measured_value: float, unit: str = ""
-) -> Dict[str, Any]:
-    """A standard paper-vs-measured comparison row."""
-    ratio = measured_value / paper_value if paper_value else float("nan")
-    return {
-        "metric": label,
-        "paper": paper_value,
-        "measured": measured_value,
-        "unit": unit,
-        "measured/paper": ratio,
-    }

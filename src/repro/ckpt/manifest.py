@@ -429,10 +429,6 @@ class ManifestStore:
         """This worker's committed versions, ascending."""
         return sorted(scan_manifest_dir(self.directory).committed.get(self.worker, {}))
 
-    def prepared_versions(self) -> List[int]:
-        """This worker's prepared (not yet globally committed) versions, ascending."""
-        return sorted(scan_manifest_dir(self.directory).prepared.get(self.worker, {}))
-
     def load(self, version: int) -> CheckpointManifest:
         path = self.path_for(version)
         if not path.exists():
@@ -476,11 +472,6 @@ class ManifestStore:
 
     def delete(self, version: int) -> None:
         path = self.path_for(version)
-        if path.exists():
-            path.unlink()
-
-    def delete_prepared(self, version: int) -> None:
-        path = self.prepared_path_for(version)
         if path.exists():
             path.unlink()
 

@@ -11,15 +11,14 @@ interleaving that load-balances the virtual tier without global
 synchronization.
 
 :class:`NodeConcurrencyController` wraps the raw
-:class:`~repro.aio.locks.TierLockManager` with the policy switch (the
-ablation baseline simply bypasses the locks) and convenience helpers the
-engines use to pick which tier to touch next.
+:class:`~repro.aio.locks.TierLockManager` with the policy switch: the
+ablation baseline simply bypasses the locks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.aio.locks import TierLease, TierLockManager
 
@@ -60,13 +59,11 @@ class NodeConcurrencyController:
     def __init__(self, lock_manager: Optional[TierLockManager] = None, *, enabled: bool = True) -> None:
         self.lock_manager = lock_manager if lock_manager is not None else TierLockManager()
         self.enabled = enabled
-        self._bypass_acquisitions = 0
 
     @contextmanager
     def exclusive(self, tier: str, worker: str, *, timeout: Optional[float] = None) -> Iterator[None]:
         """Context manager holding tier-exclusive access for the duration of the block."""
         if not self.enabled:
-            self._bypass_acquisitions += 1
             yield
             return
         lease = self.lock_manager.acquire(tier, worker, timeout=timeout)
@@ -80,40 +77,5 @@ class NodeConcurrencyController:
     def try_exclusive(self, tier: str, worker: str) -> "Optional[TierLease | _BypassLease]":
         """Non-blocking acquisition; returns a lease or ``None`` (always a lease when disabled)."""
         if not self.enabled:
-            self._bypass_acquisitions += 1
             return _BypassLease(tier, worker)
         return self.lock_manager.acquire(tier, worker, blocking=False)
-
-    def preferred_tier(self, candidates: Sequence[str], worker: str) -> str:
-        """Pick the candidate tier the worker should touch next.
-
-        Prefers, in order: a tier the worker already holds, an uncontended
-        tier, then the least-waited-on tier.  Pure policy — no lock is taken.
-        """
-        if not candidates:
-            raise ValueError("candidates must be non-empty")
-        if not self.enabled:
-            return candidates[0]
-        held = self.lock_manager.held_tiers()
-        for tier in candidates:
-            if held.get(tier) == worker:
-                return tier
-        free = [t for t in candidates if t not in held]
-        if free:
-            return min(free, key=lambda t: self.lock_manager.waiters(t))
-        return min(candidates, key=lambda t: self.lock_manager.waiters(t))
-
-    def contention_summary(self, tiers: Sequence[str]) -> Dict[str, Dict[str, float]]:
-        """Per-tier contention counters for diagnostics and tests."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for tier in tiers:
-            stats = self.lock_manager.stats(tier)
-            summary[tier] = {
-                "acquisitions": float(stats.acquisitions),
-                "contended": float(stats.contended_acquisitions),
-                "wait_seconds": stats.wait_seconds,
-                "hold_seconds": stats.hold_seconds,
-            }
-        if not self.enabled:
-            summary["_bypassed"] = {"acquisitions": float(self._bypass_acquisitions)}
-        return summary

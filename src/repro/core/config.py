@@ -4,8 +4,11 @@ The paper integrates with DeepSpeed through "two JSON key-value pairs" in the
 runtime configuration (§3.5): the list of offload directories (with an
 optional subgroup split ratio such as ``2:1`` between ``/local/`` and
 ``/remote/``) and the per-tier host-buffer budget.  The configuration classes
-below capture that surface, plus switches for each individual design
-principle so the ablation study (Figures 14–15) can toggle them one by one.
+below capture that surface, plus a switch for each individual design
+principle; the functional ablation variants (:mod:`repro.zero.variants`)
+toggle them one by one.  Figures 14–15 themselves come from the simulator's
+``ablation_*`` sweep matrices (:mod:`repro.sweep.matrix`), not from this
+config.
 """
 
 from __future__ import annotations

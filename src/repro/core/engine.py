@@ -336,12 +336,7 @@ class OffloadEngineBase:
         failovers_before = self.tier.failover_count
 
         indices = [sg.index for sg in self.subgroups]
-        order_positions = update_order(
-            len(indices),
-            self._update_count,
-            self.ordering_policy,
-            cached_ids=self.cache.cached_ids(),
-        )
+        order_positions = update_order(len(indices), self._update_count, self.ordering_policy)
         order = [indices[p] for p in order_positions]
 
         fetch_fields = list(STATE_FIELDS)

@@ -20,13 +20,11 @@ Two policies are implemented:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.train.gradients import GradientAccumulator
-from repro.train.mixed_precision import fp16_to_fp32
 
 
 class GradientConversionPolicy(enum.Enum):
@@ -36,45 +34,6 @@ class GradientConversionPolicy(enum.Enum):
     FLUSH_FP32 = "flush_fp32"
     #: Keep FP16 gradients on the host; convert in place at update time.
     DELAYED_FP16 = "delayed_fp16"
-
-
-@dataclass
-class GradientTraffic:
-    """Bytes of gradient data moved by one backward+update cycle of a subgroup."""
-
-    backward_flush_bytes: int
-    update_fetch_bytes: int
-    conversion_bytes: int
-
-    @property
-    def storage_bytes(self) -> int:
-        """Total gradient bytes crossing the third-level tier."""
-        return self.backward_flush_bytes + self.update_fetch_bytes
-
-
-def gradient_traffic(policy: GradientConversionPolicy, subgroup_params: int) -> GradientTraffic:
-    """Per-subgroup gradient byte movement implied by ``policy``.
-
-    Used by the simulator and the memory/IO accounting; the functional engine
-    produces the same numbers through its actual I/O counters.
-    """
-    if subgroup_params < 0:
-        raise ValueError("subgroup_params must be non-negative")
-    fp16 = subgroup_params * 2
-    fp32 = subgroup_params * 4
-    if policy is GradientConversionPolicy.FLUSH_FP32:
-        return GradientTraffic(
-            backward_flush_bytes=fp32,
-            update_fetch_bytes=fp32,
-            conversion_bytes=fp16,
-        )
-    if policy is GradientConversionPolicy.DELAYED_FP16:
-        return GradientTraffic(
-            backward_flush_bytes=0,
-            update_fetch_bytes=0,
-            conversion_bytes=fp16,
-        )
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 def update_time_gradient(
@@ -107,7 +66,7 @@ def update_time_gradient(
         return accumulator.gradient_fp32(subgroup_index, average=average, out=out)
     if policy is GradientConversionPolicy.FLUSH_FP32:
         if stored_fp32 is None:
-            stored_fp32 = fp16_to_fp32(accumulator.gradient_fp16(subgroup_index))
+            stored_fp32 = accumulator.gradient_fp16(subgroup_index).astype(np.float32)
         grad = stored_fp32.astype(np.float32, copy=False)
         if average and accumulator.accumulated_steps > 1:
             steps = float(accumulator.accumulated_steps)
@@ -132,5 +91,5 @@ def backward_flush_payload(
     if policy is GradientConversionPolicy.DELAYED_FP16:
         return None
     if policy is GradientConversionPolicy.FLUSH_FP32:
-        return fp16_to_fp32(accumulator.gradient_fp16(subgroup_index))
+        return accumulator.gradient_fp16(subgroup_index).astype(np.float32)
     raise ValueError(f"unknown policy {policy!r}")

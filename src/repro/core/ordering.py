@@ -13,7 +13,7 @@ the next.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence
+from typing import List
 
 
 class OrderingPolicy(enum.Enum):
@@ -23,16 +23,12 @@ class OrderingPolicy(enum.Enum):
     SEQUENTIAL = "sequential"
     #: Alternate ascending / descending every update phase (MLP-Offload).
     ALTERNATING = "alternating"
-    #: Process cache-resident subgroups first, then the rest ascending.
-    CACHED_FIRST = "cached_first"
 
 
 def update_order(
     num_subgroups: int,
     iteration: int,
     policy: OrderingPolicy = OrderingPolicy.ALTERNATING,
-    *,
-    cached_ids: Optional[Iterable[int]] = None,
 ) -> List[int]:
     """Return the subgroup processing order for ``iteration``.
 
@@ -45,9 +41,6 @@ def update_order(
         even iterations ascend and odd iterations descend, matching the
         paper's description ("in the first iteration ... increasing order of
         IDs ... in the second iteration ... reverse the order").
-    cached_ids:
-        For :attr:`OrderingPolicy.CACHED_FIRST`, the subgroup IDs currently
-        resident in the host cache.
 
     The returned list is always a permutation of ``range(num_subgroups)``.
     """
@@ -60,43 +53,4 @@ def update_order(
         return ascending
     if policy is OrderingPolicy.ALTERNATING:
         return ascending if iteration % 2 == 0 else ascending[::-1]
-    if policy is OrderingPolicy.CACHED_FIRST:
-        cached = [i for i in dict.fromkeys(cached_ids or []) if 0 <= i < num_subgroups]
-        cached_set = set(cached)
-        rest = [i for i in ascending if i not in cached_set]
-        return cached + rest
     raise ValueError(f"unknown ordering policy {policy!r}")
-
-
-def expected_cache_hits(
-    order: Sequence[int],
-    previous_order: Sequence[int],
-    cache_capacity_subgroups: int,
-) -> int:
-    """Predict host-cache hits of one update phase given the previous phase's order.
-
-    After an update phase that processed ``previous_order``, the cache holds
-    (up to) the last ``cache_capacity_subgroups`` subgroups processed.  The
-    next phase hits the cache for every such subgroup it touches *before*
-    evicting it, i.e. for the leading run of ``order`` drawn from that
-    resident set.  This analytic helper backs the unit tests that show the
-    alternating order converts the baseline's ~0 hits into ~capacity hits,
-    and is reused by the simulator's cache model.
-    """
-    if cache_capacity_subgroups < 0:
-        raise ValueError("cache capacity must be non-negative")
-    if cache_capacity_subgroups == 0 or not previous_order:
-        return 0
-    resident = list(previous_order)[-cache_capacity_subgroups:]
-    resident_set = set(resident)
-    hits = 0
-    for subgroup in order:
-        if subgroup in resident_set:
-            hits += 1
-        else:
-            # The miss forces a fetch, which (in steady state) evicts the
-            # least-recently-touched resident subgroup; once the leading run
-            # of hits is over, later residents have been pushed out by the
-            # interleaved misses, so we stop counting.
-            break
-    return hits

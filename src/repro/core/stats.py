@@ -2,14 +2,12 @@
 
 The counters mirror the paper's key metrics (§4.1): iteration time broken
 down by phase, update throughput in parameters/second, effective I/O
-throughput (2 × subgroup bytes / (read + write time)), cache hits, and the
-distribution of offloaded state across tiers.
+throughput (2 × subgroup bytes / (read + write time)) and cache hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
 
 
 @dataclass
@@ -90,35 +88,3 @@ class UpdatePhaseStats:
             io_failovers=self.io_failovers + other.io_failovers,
             deferred_prefetches=self.deferred_prefetches + other.deferred_prefetches,
         )
-
-
-@dataclass
-class IterationStats:
-    """One full training iteration's phase breakdown (functional engine)."""
-
-    iteration: int
-    forward_seconds: float = 0.0
-    backward_seconds: float = 0.0
-    update: UpdatePhaseStats = field(default_factory=UpdatePhaseStats)
-    tier_distribution_bytes: Dict[str, float] = field(default_factory=dict)
-    loss: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.forward_seconds + self.backward_seconds + self.update.wall_seconds
-
-    def breakdown(self) -> Dict[str, float]:
-        return {
-            "forward": self.forward_seconds,
-            "backward": self.backward_seconds,
-            "update": self.update.wall_seconds,
-        }
-
-
-def aggregate_tier_distribution(distributions: Mapping[str, Mapping[str, float]]) -> Dict[str, float]:
-    """Sum per-worker tier-distribution dictionaries into a node-level view."""
-    total: Dict[str, float] = {}
-    for per_worker in distributions.values():
-        for tier, nbytes in per_worker.items():
-            total[tier] = total.get(tier, 0.0) + float(nbytes)
-    return total

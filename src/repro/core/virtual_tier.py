@@ -187,7 +187,7 @@ class VirtualTier:
             probe_interval=config.path_probe_interval,
         )
         self.engine.observer = self.health
-        self.estimator = self._build_estimator(active_tiers)
+        self.estimator = self._build_estimator()
         self.placement: Optional[PlacementMap] = None
         self._pending: Dict[str, concurrent.futures.Future] = {}
         # Striped multi-path reads: fields above the threshold are striped
@@ -215,11 +215,10 @@ class VirtualTier:
         """Checksum-tracking predicate: state blobs, in tracked phases only."""
         return self.track_writes and GRAD_FIELD not in key
 
-    def _build_estimator(self, active_tiers) -> BandwidthEstimator:
-        hints = {
-            t.name: t.effective_bw for t in active_tiers if t.effective_bw is not None
-        }
-        missing = [t.name for t in active_tiers if t.name not in hints]
+    def _build_estimator(self) -> BandwidthEstimator:
+        configured = self.config.bandwidth_hints()
+        hints = {name: configured[name] for name in self.tier_names if name in configured}
+        missing = [name for name in self.tier_names if name not in hints]
         if missing:
             probed = probe_tiers({name: self.stores[name] for name in missing})
             hints.update(probed)

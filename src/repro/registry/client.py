@@ -66,10 +66,6 @@ class PushStats:
     skipped_blobs: int = 0
     skipped_bytes: int = 0
 
-    @property
-    def total_bytes(self) -> int:
-        return self.uploaded_bytes + self.skipped_bytes
-
 
 def _parse_url(url: str) -> Tuple[str, int]:
     parts = urlsplit(url)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 
 @dataclass
@@ -217,6 +217,3 @@ class FluidSimulation:
 
     def busy(self) -> bool:
         return any(self._active.values()) or any(self._queued.values())
-
-    def active_owners(self, resource_name: str) -> Set[str]:
-        return {t.owner for t in self._active.get(resource_name, [])}

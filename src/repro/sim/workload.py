@@ -80,10 +80,6 @@ class UpdateWorkload:
     backward_grad_flush_bytes_per_worker: float = 0.0
 
     @property
-    def total_subgroups(self) -> int:
-        return self.workers * self.subgroups_per_worker
-
-    @property
     def params_per_worker(self) -> int:
         return self.subgroups_per_worker * self.subgroup_params
 

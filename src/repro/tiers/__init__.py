@@ -9,7 +9,8 @@ The paper's offloading engine spans three levels:
 
 This subpackage provides the descriptors for those tiers (including the
 paper's Table 1 testbeds), a file-backed store used for real offloading in
-functional mode, a pinned host-buffer pool and the host subgroup cache.
+functional mode, the striped store, a size-classed scratch-array pool and the
+host subgroup cache.
 """
 
 from repro.tiers.spec import (
@@ -25,7 +26,6 @@ from repro.tiers.spec import (
 )
 from repro.tiers.array_pool import ArrayPool, ArrayPoolStats, scatter_views
 from repro.tiers.striped_store import DegradedReadError, StripedStore, StripePart
-from repro.tiers.device import DeviceMemory, MemoryAccountant, OutOfMemoryError
 from repro.tiers.faultstore import (
     FaultInjectingStore,
     FaultPlan,
@@ -34,7 +34,6 @@ from repro.tiers.faultstore import (
     clear_faults,
 )
 from repro.tiers.file_store import FileStore, StoreError, TruncatedBlobError, blob_nbytes
-from repro.tiers.host_buffer import BufferPool, BufferPoolExhausted, PinnedBuffer
 from repro.tiers.host_cache import CacheEntry, HostSubgroupCache
 
 __all__ = [
@@ -60,14 +59,8 @@ __all__ = [
     "TESTBED_1",
     "TESTBED_2",
     "testbed_by_name",
-    "DeviceMemory",
-    "MemoryAccountant",
-    "OutOfMemoryError",
     "FileStore",
     "StoreError",
-    "BufferPool",
-    "PinnedBuffer",
-    "BufferPoolExhausted",
     "HostSubgroupCache",
     "CacheEntry",
 ]

@@ -9,11 +9,10 @@ hands out 1-D ndarray views over pooled page-aligned ``bytearray`` storage,
 keyed by power-of-two size class, so that steady-state fetch/flush traffic
 performs **zero** new allocations.
 
-Unlike :class:`repro.tiers.host_buffer.BufferPool` (a fixed-capacity pool with
-blocking semantics modelling the *pinned-memory budget*), this pool is
-elastic: a miss allocates, a release recycles.  Its hit rate is therefore a
-direct measurement of allocation-freeness — the engine asserts it
-approaches 1.0 after warm-up.
+The pool is elastic: a miss allocates, a release recycles.  Its hit rate is
+therefore a direct measurement of allocation-freeness; the pipeline
+equivalence tests assert the engine's pool stops allocating after warm-up
+and hits more often than it misses.
 
 Ownership contract: arrays returned by :meth:`acquire` remain valid until
 passed to :meth:`release`; releasing makes the storage eligible for reuse, so

@@ -93,10 +93,6 @@ class HostSubgroupCache:
         with self._lock:
             return float(sum(e.nbytes for e in self._entries.values()))
 
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self.used_bytes
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

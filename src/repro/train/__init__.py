@@ -7,8 +7,6 @@ training runtime, without CUDA or DeepSpeed:
   transformer parameter-count formulas;
 * :mod:`repro.train.transformer` — a small, functional NumPy transformer with
   hand-written backward pass, used by end-to-end correctness tests;
-* :mod:`repro.train.mixed_precision` — FP16/FP32 master-copy management and
-  loss scaling;
 * :mod:`repro.train.adam` — a vectorized CPU Adam operating per subgroup;
 * :mod:`repro.train.sharding` — ZeRO-3 rank sharding and subgroup partitioning;
 * :mod:`repro.train.gradients` — FP16 host gradient-accumulation buffers;
@@ -26,12 +24,6 @@ from repro.train.model_zoo import (
     smallest_offload_model,
 )
 from repro.train.adam import AdamConfig, AdamState, adam_update
-from repro.train.mixed_precision import (
-    GradScaler,
-    MixedPrecisionState,
-    fp16_to_fp32,
-    fp32_to_fp16,
-)
 from repro.train.sharding import ShardLayout, Subgroup, build_shard_layout
 from repro.train.gradients import GradientAccumulator
 from repro.train.parallelism import ParallelTopology
@@ -47,10 +39,6 @@ __all__ = [
     "AdamConfig",
     "AdamState",
     "adam_update",
-    "MixedPrecisionState",
-    "GradScaler",
-    "fp16_to_fp32",
-    "fp32_to_fp16",
     "Subgroup",
     "ShardLayout",
     "build_shard_layout",

@@ -1,4 +1,4 @@
-"""Shared utilities: byte-size arithmetic, timers and structured logging."""
+"""Shared utilities: byte-size arithmetic and structured logging."""
 
 from repro.util.bytesize import (
     GiB,
@@ -8,7 +8,6 @@ from repro.util.bytesize import (
     format_bytes,
     parse_bytes,
 )
-from repro.util.timer import PhaseTimer, Stopwatch
 
 __all__ = [
     "KiB",
@@ -17,6 +16,4 @@ __all__ = [
     "TiB",
     "format_bytes",
     "parse_bytes",
-    "Stopwatch",
-    "PhaseTimer",
 ]

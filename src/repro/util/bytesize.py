@@ -81,10 +81,3 @@ def format_bytes(num_bytes: "int | float", precision: int = 1) -> str:
         if num_bytes >= factor:
             return f"{num_bytes / factor:.{precision}f}{unit}"
     return f"{int(num_bytes)}B"  # pragma: no cover - unreachable
-
-
-def format_bandwidth(bytes_per_s: float, precision: int = 2) -> str:
-    """Format a bandwidth in decimal GB/s (the unit used throughout the paper)."""
-    if bytes_per_s < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {bytes_per_s!r}")
-    return f"{bytes_per_s / GB:.{precision}f}GB/s"

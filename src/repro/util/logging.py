@@ -7,7 +7,6 @@ child loggers so applications keep control of handlers and levels.
 from __future__ import annotations
 
 import logging
-from typing import Any
 
 _ROOT_NAME = "repro"
 
@@ -22,8 +21,3 @@ def get_logger(name: str | None = None) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def kv(**fields: Any) -> str:
-    """Format keyword fields as a stable ``key=value`` string for log lines."""
-    return " ".join(f"{key}={fields[key]}" for key in sorted(fields))

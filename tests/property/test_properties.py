@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ordering import OrderingPolicy, expected_cache_hits, update_order
+from repro.core.ordering import OrderingPolicy, update_order
 from repro.core.performance_model import allocate_subgroups
 from repro.core.placement import PlacementMap
 from repro.sim.resources import FluidResource, FluidSimulation, Transfer
@@ -68,7 +68,7 @@ def test_allocation_share_tracks_bandwidth_share(num_subgroups, fast, slow):
 )
 @settings(max_examples=200, deadline=None)
 def test_update_order_is_always_a_permutation(n, iteration, policy):
-    order = update_order(n, iteration, policy, cached_ids=range(0, n, 3))
+    order = update_order(n, iteration, policy)
     assert sorted(order) == list(range(n))
 
 
@@ -80,20 +80,32 @@ def test_alternating_order_reverses_between_consecutive_iterations(n, iteration)
     assert first == second[::-1]
 
 
+def _replay_phase(cache, order):
+    """Run one update phase's cache traffic; return its hit count."""
+    hits = 0
+    for subgroup in order:
+        if cache.get(subgroup) is not None:
+            hits += 1
+        else:
+            cache.put(subgroup, {"state": np.zeros(1, dtype=np.float32)})
+    return hits
+
+
 @given(
-    n=st.integers(min_value=1, max_value=200),
-    cache=st.integers(min_value=0, max_value=220),
-    iteration=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=64),
+    cache=st.integers(min_value=0, max_value=72),
+    iteration=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=150, deadline=None)
 def test_alternating_never_hits_less_than_sequential(n, cache, iteration):
-    prev_alt = update_order(n, iteration - 1, OrderingPolicy.ALTERNATING)
-    cur_alt = update_order(n, iteration, OrderingPolicy.ALTERNATING)
-    seq = update_order(n, 0, OrderingPolicy.SEQUENTIAL)
-    alt_hits = expected_cache_hits(cur_alt, prev_alt, cache)
-    seq_hits = expected_cache_hits(seq, seq, cache)
-    assert alt_hits >= seq_hits
-    assert alt_hits <= min(n, cache) if cache else alt_hits == 0
+    hits = {}
+    for policy in (OrderingPolicy.ALTERNATING, OrderingPolicy.SEQUENTIAL):
+        host = HostSubgroupCache(capacity_bytes=cache * 4)
+        for phase in range(iteration):
+            _replay_phase(host, update_order(n, phase, policy))
+        hits[policy] = _replay_phase(host, update_order(n, iteration, policy))
+    assert hits[OrderingPolicy.ALTERNATING] >= hits[OrderingPolicy.SEQUENTIAL]
+    assert hits[OrderingPolicy.ALTERNATING] == min(n, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ordering import OrderingPolicy, expected_cache_hits, update_order
+from repro.core.ordering import OrderingPolicy, update_order
 from repro.core.placement import PlacementMap
 
 
@@ -18,17 +18,8 @@ class TestUpdateOrder:
 
     def test_every_policy_returns_a_permutation(self):
         for policy in OrderingPolicy:
-            order = update_order(7, 1, policy, cached_ids=[5, 6, 2])
+            order = update_order(7, 1, policy)
             assert sorted(order) == list(range(7))
-
-    def test_cached_first_puts_resident_subgroups_up_front(self):
-        order = update_order(6, 0, OrderingPolicy.CACHED_FIRST, cached_ids=[4, 2])
-        assert order[:2] == [4, 2]
-        assert sorted(order[2:]) == [0, 1, 3, 5]
-
-    def test_cached_first_ignores_out_of_range_and_duplicate_ids(self):
-        order = update_order(4, 0, OrderingPolicy.CACHED_FIRST, cached_ids=[9, 2, 2, -1])
-        assert order == [2, 0, 1, 3]
 
     def test_edge_cases_and_validation(self):
         assert update_order(0, 0) == []
@@ -36,29 +27,6 @@ class TestUpdateOrder:
             update_order(-1, 0)
         with pytest.raises(ValueError):
             update_order(1, -1)
-
-
-class TestExpectedCacheHits:
-    def test_alternating_converts_thrashing_into_hits(self):
-        n, cache = 10, 4
-        ascending = update_order(n, 0, OrderingPolicy.ALTERNATING)
-        descending = update_order(n, 1, OrderingPolicy.ALTERNATING)
-        # Baseline: ascending after ascending -> no reuse.
-        assert expected_cache_hits(ascending, ascending, cache) == 0
-        # MLP-Offload: descending after ascending -> the whole cache is reused.
-        assert expected_cache_hits(descending, ascending, cache) == cache
-
-    def test_full_cache_hits_everything(self):
-        order = list(range(5))
-        assert expected_cache_hits(order, order, 5) == 5
-
-    def test_zero_capacity_or_empty_history(self):
-        assert expected_cache_hits([0, 1], [], 4) == 0
-        assert expected_cache_hits([0, 1], [0, 1], 0) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_cache_hits([0], [0], -1)
 
 
 class TestPlacementMap:

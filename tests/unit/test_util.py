@@ -1,12 +1,9 @@
-"""Unit tests for repro.util (byte sizes, timers, logging)."""
-
-import time
+"""Unit tests for repro.util (byte sizes, logging)."""
 
 import pytest
 
-from repro.util import GiB, KiB, MiB, PhaseTimer, Stopwatch, format_bytes, parse_bytes
-from repro.util.bytesize import GB, format_bandwidth
-from repro.util.logging import get_logger, kv
+from repro.util import GiB, KiB, MiB, format_bytes, parse_bytes
+from repro.util.logging import get_logger
 
 
 class TestParseBytes:
@@ -48,76 +45,9 @@ class TestFormatBytes:
         with pytest.raises(ValueError):
             format_bytes(-1)
 
-    def test_bandwidth_formatting(self):
-        assert format_bandwidth(5.3 * GB) == "5.30GB/s"
-        with pytest.raises(ValueError):
-            format_bandwidth(-1.0)
-
-
-class TestStopwatch:
-    def test_accumulates_across_runs(self):
-        sw = Stopwatch()
-        with sw.measure():
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw.measure():
-            time.sleep(0.01)
-        assert sw.elapsed > first >= 0.01
-
-    def test_double_start_raises(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw.measure():
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-
-class TestPhaseTimer:
-    def test_phase_accumulation_and_counts(self):
-        timer = PhaseTimer()
-        with timer.phase("update"):
-            time.sleep(0.005)
-        with timer.phase("update"):
-            time.sleep(0.005)
-        assert timer.count("update") == 2
-        assert timer.total("update") >= 0.01
-        assert timer.mean("update") == pytest.approx(timer.total("update") / 2)
-
-    def test_manual_add_and_reset(self):
-        timer = PhaseTimer()
-        timer.add("forward", 1.5)
-        timer.add("forward", 0.5)
-        assert timer.total("forward") == pytest.approx(2.0)
-        assert timer.totals() == {"forward": pytest.approx(2.0)}
-        timer.reset()
-        assert timer.total("forward") == 0.0
-
-    def test_negative_add_rejected(self):
-        timer = PhaseTimer()
-        with pytest.raises(ValueError):
-            timer.add("x", -1.0)
-
-    def test_unknown_phase_is_zero(self):
-        timer = PhaseTimer()
-        assert timer.total("nope") == 0.0
-        assert timer.mean("nope") == 0.0
-
 
 class TestLogging:
     def test_namespacing(self):
         assert get_logger().name == "repro"
         assert get_logger("core.engine").name == "repro.core.engine"
         assert get_logger("repro.sim").name == "repro.sim"
-
-    def test_kv_is_sorted_and_stable(self):
-        assert kv(b=2, a=1) == "a=1 b=2"

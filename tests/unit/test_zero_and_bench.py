@@ -5,7 +5,7 @@ import tempfile
 import pytest
 
 from repro.bench import experiments
-from repro.bench.harness import ExperimentResult, format_table, paper_vs_measured
+from repro.bench.harness import ExperimentResult, format_table
 from repro.core.config import MLPOffloadConfig, TierConfig
 from repro.train.adam import AdamConfig
 from repro.zero.variants import (
@@ -85,11 +85,6 @@ class TestHarness:
         text = format_table([{"a": 1.0, "b": "x"}, {"a": 20000.0, "c": 3}], title="T")
         assert "T" in text and "a" in text and "c" in text
         assert format_table([], title="empty").startswith("empty")
-
-    def test_paper_vs_measured_row(self):
-        row = paper_vs_measured("speedup", 2.5, 3.0, unit="x")
-        assert row["measured/paper"] == pytest.approx(1.2)
-        assert row["unit"] == "x"
 
 
 class TestExperiments:
