@@ -150,6 +150,54 @@ class TestTierLockManager:
             assert manager.owner_of("pfs") == "rank0"
         assert manager.owner_of("pfs") is None
 
+    def test_timed_out_acquire_returns_none_and_stops_waiting(self):
+        manager = TierLockManager()
+        lease = manager.acquire("nvme", "rank0")
+        assert manager.acquire("nvme", "rank1", timeout=0.01) is None
+        assert manager.waiters("nvme") == 0
+        assert manager.owner_of("nvme") == "rank0"
+        lease.release()
+
+    def test_release_by_another_worker_raises(self):
+        manager = TierLockManager()
+        manager.acquire("nvme", "rank0")
+        with pytest.raises(RuntimeError):
+            manager.release("nvme", "rank1")
+        assert manager.owner_of("nvme") == "rank0"
+
+    def test_stats_count_every_share(self):
+        manager = TierLockManager()
+        lease = manager.acquire("pfs", "rank0")
+        manager.acquire("pfs", "rank0")
+        assert manager.acquire("pfs", "rank1", blocking=False) is None
+        stats = manager.stats("pfs")
+        assert stats.acquisitions == 2
+        assert stats.contended_acquisitions == 0
+        lease.release()
+        assert stats.hold_seconds == 0.0  # one share still held
+        lease.release()
+        assert manager.owner_of("pfs") is None
+
+    def test_same_worker_threads_share_one_lease(self):
+        manager = TierLockManager()
+        leases = []
+        barrier = threading.Barrier(3)
+
+        def io_thread():
+            barrier.wait(timeout=10)
+            leases.append(manager.acquire("pfs", "rank0", timeout=10))
+
+        threads = [threading.Thread(target=io_thread) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(leases) == 3 and all(lease is leases[0] for lease in leases)
+        assert leases[0].shares == 3
+        for lease in leases:
+            lease.release()
+        assert manager.owner_of("pfs") is None
+
 
 class TestAsyncIOEngine:
     @pytest.fixture

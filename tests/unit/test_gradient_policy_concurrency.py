@@ -2,7 +2,7 @@
 
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -64,6 +64,82 @@ class TestUpdateTimeGradient:
             payload, accumulator.gradient_fp16(0).astype(np.float32)
         )
 
+    def test_delayed_policy_fills_the_scratch_buffer(self, accumulator):
+        out = np.empty(1000, dtype=np.float32)
+        grad = update_time_gradient(
+            GradientConversionPolicy.DELAYED_FP16, accumulator, 0, out=out
+        )
+        assert grad is out
+        np.testing.assert_array_equal(out, accumulator.gradient_fp32(0))
+
+    def test_delayed_policy_averages_over_microbatches(self, accumulator):
+        accumulator.accumulate(0, np.ones(1000, dtype=np.float16))
+        accumulator.mark_microbatch_done()
+        total = update_time_gradient(
+            GradientConversionPolicy.DELAYED_FP16, accumulator, 0, average=False
+        )
+        mean = update_time_gradient(GradientConversionPolicy.DELAYED_FP16, accumulator, 0)
+        np.testing.assert_array_equal(mean, total / np.float32(2.0))
+
+    def test_baseline_policy_averages_the_stored_copy(self, accumulator, rng):
+        accumulator.mark_microbatch_done()  # two micro-batches in total
+        stored = rng.standard_normal(1000).astype(np.float32)
+        grad = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored
+        )
+        np.testing.assert_array_equal(grad, stored / np.float32(2.0))
+        raw = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored, average=False
+        )
+        assert raw is stored
+
+    def test_baseline_average_into_scratch_is_bitwise_identical(self, accumulator, rng):
+        accumulator.mark_microbatch_done()
+        stored = rng.standard_normal(1000).astype(np.float32)
+        fresh = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored
+        )
+        out = np.empty(1000, dtype=np.float32)
+        pooled = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored, out=out
+        )
+        assert pooled is out
+        np.testing.assert_array_equal(pooled, fresh)
+
+    def test_baseline_ignores_a_scratch_of_the_wrong_shape(self, accumulator, rng):
+        accumulator.mark_microbatch_done()
+        stored = rng.standard_normal(1000).astype(np.float32)
+        out = np.full(10, 7.0, dtype=np.float32)
+        grad = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored, out=out
+        )
+        assert grad is not out and grad.shape == (1000,)
+        assert np.all(out == 7.0)
+
+    def test_baseline_casts_a_stored_copy_to_fp32(self, accumulator, rng):
+        stored = rng.standard_normal(1000)  # float64
+        grad = update_time_gradient(
+            GradientConversionPolicy.FLUSH_FP32, accumulator, 0, stored_fp32=stored
+        )
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, stored.astype(np.float32))
+
+    def test_fp16_up_conversion_is_exact(self, accumulator):
+        """Every FP16 value is representable in FP32, so the flushed payload
+        converts back to the host FP16 copy without loss."""
+        payload = backward_flush_payload(GradientConversionPolicy.FLUSH_FP32, accumulator, 0)
+        np.testing.assert_array_equal(payload.astype(np.float16), accumulator.gradient_fp16(0))
+
+    def test_unknown_policy_rejected(self, accumulator):
+        with pytest.raises(ValueError):
+            update_time_gradient("delayed_fp16", accumulator, 0)
+        with pytest.raises(ValueError):
+            backward_flush_payload("flush_fp32", accumulator, 0)
+
+    @pytest.mark.parametrize("policy", list(GradientConversionPolicy))
+    def test_policy_round_trips_through_its_value(self, policy):
+        assert GradientConversionPolicy(policy.value) is policy
+
 
 class TestNodeConcurrencyController:
     def test_exclusive_context_blocks_other_workers(self):
@@ -80,6 +156,73 @@ class TestNodeConcurrencyController:
             assert lease is not None
             lease.release()  # no-op, must not raise
         assert controller.lock_manager.stats("nvme").acquisitions == 0
+
+    def test_exclusive_releases_on_error(self):
+        controller = NodeConcurrencyController()
+        with pytest.raises(RuntimeError):
+            with controller.exclusive("nvme", "rank0"):
+                raise RuntimeError("I/O failed")
+        assert controller.lock_manager.owner_of("nvme") is None
+
+    def test_exclusive_is_reentrant_for_one_worker(self):
+        controller = NodeConcurrencyController()
+        with controller.exclusive("nvme", "rank0"):
+            with controller.exclusive("nvme", "rank0"):
+                assert controller.lock_manager.owner_of("nvme") == "rank0"
+            assert controller.lock_manager.owner_of("nvme") == "rank0"
+        assert controller.lock_manager.owner_of("nvme") is None
+
+    def test_exclusive_waits_for_the_holder(self):
+        controller = NodeConcurrencyController()
+        lease = controller.lock_manager.acquire("nvme", "rank0")
+        entered = threading.Event()
+
+        def contender():
+            with controller.exclusive("nvme", "rank1", timeout=30):
+                entered.set()
+
+        thread = threading.Thread(target=contender)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not controller.lock_manager.waiters("nvme"):
+            assert time.monotonic() < deadline, "contender never waited"
+            time.sleep(0.005)
+        assert not entered.is_set()
+        lease.release()
+        thread.join(timeout=30)
+        assert entered.is_set()
+        assert controller.lock_manager.stats("nvme").contended_acquisitions == 1
+
+    def test_controllers_sharing_a_manager_exclude_each_other(self):
+        manager = TierLockManager()
+        first = NodeConcurrencyController(manager)
+        second = NodeConcurrencyController(manager)
+        with first.exclusive("pfs", "rank0"):
+            assert second.try_exclusive("pfs", "rank1") is None
+        assert NodeConcurrencyController().try_exclusive("pfs", "rank1") is not None
+
+    def test_disabled_controller_admits_workers_together(self):
+        controller = NodeConcurrencyController(enabled=False)
+        barrier = threading.Barrier(2)
+        inside = []
+
+        def worker(name):
+            with controller.exclusive("nvme", name):
+                barrier.wait(timeout=10)  # both hold the tier at once
+                inside.append(name)
+
+        threads = [threading.Thread(target=worker, args=(f"rank{i}",)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert sorted(inside) == ["rank0", "rank1"]
+
+    def test_bypass_lease_is_a_single_share_context_manager(self):
+        controller = NodeConcurrencyController(enabled=False)
+        with controller.try_exclusive("nvme", "rank0") as lease:
+            assert (lease.tier, lease.worker, lease.shares) == ("nvme", "rank0", 1)
+        assert controller.lock_manager.owner_of("nvme") is None
 
     def test_timeout_raises(self):
         controller = NodeConcurrencyController()
@@ -167,6 +310,29 @@ class TestStats:
         assert stats.update_throughput == 0.0
         assert stats.effective_io_throughput == 0.0
         assert stats.io_fraction == 0.0
+
+    def test_effective_io_throughput_counts_both_directions(self):
+        stats = UpdatePhaseStats(fetch_bytes=300, flush_bytes=100, fetch_seconds=1.0)
+        assert stats.io_seconds == 1.0
+        assert stats.effective_io_throughput == pytest.approx(400.0)
+        assert stats.io_fraction == 0.0  # no wall time recorded
+
+    def test_merge_sums_every_counter(self):
+        names = [f.name for f in fields(UpdatePhaseStats)]
+        maxed = {"wall_seconds", "prefetch_depth"}
+        a = UpdatePhaseStats(**{name: 1 for name in names})
+        b = UpdatePhaseStats(**{name: 2 for name in names})
+        merged = a.merge(b)
+        for name in names:
+            expected = 2 if name in maxed else 3
+            assert getattr(merged, name) == expected, name
+
+    def test_merge_with_empty_stats_is_identity(self):
+        stats = UpdatePhaseStats(
+            params_updated=5, cache_hits=2, fetch_seconds=0.5, prefetch_depth=4, wall_seconds=1.0
+        )
+        assert stats.merge(UpdatePhaseStats()) == stats
+        assert UpdatePhaseStats().merge(stats) == stats
 
     def test_merge_adds_counters_and_keeps_max_wall(self):
         a = UpdatePhaseStats(params_updated=10, wall_seconds=2.0, cache_hits=1)

@@ -57,6 +57,45 @@ class TestBasicOperation:
         assert not cache.put(0, _arrays(1))
         assert cache.get(0) is None
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            HostSubgroupCache(capacity_bytes=-1)
+
+    def test_a_hit_protects_an_entry_from_eviction(self):
+        cache = HostSubgroupCache(capacity_bytes=600)
+        for i in range(3):
+            cache.put(i, _arrays(50))
+        cache.get(0)  # 0 becomes the most recently used
+        cache.put(3, _arrays(50))
+        assert cache.cached_ids() == [2, 0, 3]
+
+    def test_refresh_replaces_arrays_without_growing(self):
+        cache = HostSubgroupCache(capacity_bytes=10_000)
+        cache.put(0, _arrays(10))
+        fresh = _arrays(20)
+        assert cache.put(0, fresh)
+        assert len(cache) == 1
+        assert cache.used_bytes == 80
+        assert cache.peek(0) is fresh
+        assert cache.entry(0).nbytes == 80 and cache.entry(7) is None
+
+    def test_iteration_yields_a_snapshot_of_entries(self):
+        cache = HostSubgroupCache(capacity_bytes=10_000)
+        cache.put(0, _arrays(10), dirty=True)
+        cache.put(1, _arrays(10))
+        entries = iter(cache)
+        cache.put(2, _arrays(10))
+        assert {(e.subgroup_id, e.dirty) for e in entries} == {(0, True), (1, False)}
+
+    def test_hit_rate(self):
+        cache = HostSubgroupCache(capacity_bytes=10_000)
+        assert cache.stats.hit_rate == 0.0
+        cache.put(0, _arrays(10))
+        cache.get(0)
+        cache.get(1)
+        cache.get(0)
+        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+
 
 class TestDirtyTracking:
     def test_dirty_eviction_invokes_writeback(self):

@@ -21,6 +21,28 @@ class TestUpdateOrder:
             order = update_order(7, 1, policy)
             assert sorted(order) == list(range(7))
 
+    @pytest.mark.parametrize("num_subgroups", [1, 2, 7, 64])
+    def test_alternating_starts_each_phase_where_the_last_ended(self, num_subgroups):
+        """The tail of one phase (what an LRU host cache still holds) is the
+        head of the next, in reverse: the property the ordering exists for."""
+        for iteration in range(4):
+            previous = update_order(num_subgroups, iteration)
+            following = update_order(num_subgroups, iteration + 1)
+            assert following == previous[::-1]
+
+    def test_policies_agree_on_even_iterations(self):
+        for iteration in (0, 2, 10):
+            assert update_order(6, iteration, OrderingPolicy.ALTERNATING) == update_order(
+                6, iteration, OrderingPolicy.SEQUENTIAL
+            )
+
+    def test_alternating_is_the_default(self):
+        assert update_order(3, 1) == update_order(3, 1, OrderingPolicy.ALTERNATING)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            update_order(3, 0, "alternating")
+
     def test_edge_cases_and_validation(self):
         assert update_order(0, 0) == []
         with pytest.raises(ValueError):

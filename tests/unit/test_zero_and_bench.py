@@ -5,7 +5,7 @@ import tempfile
 import pytest
 
 from repro.bench import experiments
-from repro.bench.harness import ExperimentResult, format_table
+from repro.bench.harness import ExperimentResult, format_table, trajectory_payload
 from repro.core.config import MLPOffloadConfig, TierConfig
 from repro.train.adam import AdamConfig
 from repro.zero.variants import (
@@ -85,6 +85,39 @@ class TestHarness:
         text = format_table([{"a": 1.0, "b": "x"}, {"a": 20000.0, "c": 3}], title="T")
         assert "T" in text and "a" in text and "c" in text
         assert format_table([], title="empty").startswith("empty")
+
+    def test_row_lookup_matches_every_field_and_columns_fill_gaps(self):
+        result = ExperimentResult("figX", "demo")
+        result.add_row(model="40B", engine="DS", value=1.0)
+        result.add_row(model="70B", engine="DS")
+        assert result.row_for(model="70B", engine="DS") == {"model": "70B", "engine": "DS"}
+        with pytest.raises(KeyError):
+            result.row_for(model="40B", engine="MLP")
+        assert result.column("value") == [1.0, None]
+
+    def test_format_table_scales_float_precision(self):
+        text = format_table([{"x": 0.0}, {"x": 12345.6}, {"x": 42.25}, {"x": 0.5}, {"x": 7}])
+        values = [line.strip() for line in text.splitlines()[2:]]
+        assert values == ["0", "12,346", "42.2", "0.500", "7"]
+        assert format_table([]) == "(no rows)"
+
+    def test_trajectory_payload_groups_rows_by_series(self):
+        result = ExperimentResult("fig08", "update throughput")
+        result.add_row(series="MLP", model="40B", value=2.0)
+        result.add_row(series="DS", model="40B", value=1.0)
+        result.add_row(series="MLP", model="70B", value=3.0)
+        result.add_row(model="all", value=0.0)
+        result.add_note("toy scale")
+        payload = trajectory_payload(result, median_speedup=2.0)
+        assert payload["experiment"] == "fig08"
+        assert payload["description"] == "update throughput"
+        assert payload["series"] == {
+            "MLP": [{"model": "40B", "value": 2.0}, {"model": "70B", "value": 3.0}],
+            "DS": [{"model": "40B", "value": 1.0}],
+            "rows": [{"model": "all", "value": 0.0}],
+        }
+        assert payload["notes"] == ["toy scale"]
+        assert payload["median_speedup"] == 2.0
 
 
 class TestExperiments:
