@@ -13,11 +13,14 @@ against real file-backed tiers:
   rank's working copy, and lazily flush the updated state.
 
 The update phase is one multi-level pipeline: asynchronous prefetches for
-the next :data:`PREFETCH_DEPTH` subgroups are in flight while Adam runs on the
-current one, and every write — post-update flushes and dirty host-cache
-evictions alike — is issued asynchronously behind the compute, reaped by the
-loop and drained by the phase-end barrier (a subgroup is never read while its
-own write is in flight).  The baseline policy's backward-phase FP32 gradient
+the next :data:`PREFETCH_DEPTH` subgroups the host cache does not hold are in
+flight while Adam runs on the current one (cache hits take no window slot, so
+a run of hits already overlaps the reads of the misses behind it), and every
+write — post-update flushes and dirty host-cache evictions alike — is issued
+asynchronously behind the compute, reaped by the loop and drained by the
+phase-end barrier (a subgroup is never read while its own write is in
+flight).  Evictions run at most :data:`PREFETCH_DEPTH` writes behind, as
+reads run that far ahead.  The baseline policy's backward-phase FP32 gradient
 flushes are asynchronous too, drained before the next phase fetches them.
 Tier I/O thus overlaps the CPU compute (the paper's multi-level pipelining),
 while the tier-exclusive lock manager keeps multi-path semantics intact —
@@ -47,6 +50,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import concurrent.futures
 import functools
+import itertools
 
 import numpy as np
 
@@ -123,18 +127,21 @@ class OffloadEngineBase:
             config,
             worker=self.worker,
             lock_manager=self.concurrency.lock_manager,
-            # Size the submission queue to the largest possible prefetch
-            # window (up to four field reads per subgroup plus a flushed
-            # subgroup's writes, each multiplied by the stripe fan-out when
-            # striped reads are on), so filling the window never blocks on
-            # queue back-pressure.  Lazy flushes beyond that are bounded by
-            # this back-pressure (written-behind evictions also go one at a
-            # time).  An eviction's submit may block inside
-            # ``cache.put`` (cache lock held, no tier lease) without deadlock
-            # at any pool size: the I/O threads draining the queue never take
-            # the cache lock — its ``on_evict`` runs on the rank thread once
-            # the write is reaped.  The pool is two threads per (path,
-            # direction) channel, so a throttled sleeper never idles another.
+            # Size the submission queue to the largest prefetch window plus
+            # the evictions written behind it, each request multiplied by the
+            # stripe fan-out when striped reads are on: PREFETCH_DEPTH + 1
+            # subgroups of up to four field reads at phase start, and while an
+            # eviction is submitted PREFETCH_DEPTH such subgroups plus up to
+            # PREFETCH_DEPTH evictions of three field writes (7 * 2 = 14 <= 16
+            # per fan-out at the default depth), so neither blocks on queue
+            # back-pressure.  Lazy flushes of updates the cache cannot hold
+            # are bounded by this back-pressure.  An eviction's submit may
+            # block inside ``cache.put`` (cache lock held, no tier lease)
+            # without deadlock at any pool size: the I/O threads draining the
+            # queue never take the cache lock — its ``on_evict`` runs on the
+            # rank thread once the write is reaped.  The pool is two threads
+            # per (path, direction) channel, so a throttled sleeper never
+            # idles another.
             queue_depth=max(16, 4 * (PREFETCH_DEPTH + 2) * config.stripe_fanout()),
             throttles=throttles,
         )
@@ -490,23 +497,26 @@ class OffloadEngineBase:
         fields: List[str],
         stats: UpdatePhaseStats,
     ) -> None:
-        """Issue async prefetches for ``order[position : position + depth]``."""
-        for ahead in range(position, min(position + depth, len(order))):
-            self._maybe_prefetch(order, ahead, pending, fields, stats)
+        """Issue async prefetches for the next ``depth`` misses from ``position``.
+
+        Subgroups the host cache holds need no read, so they take no slot:
+        while Adam runs on a run of hits the window already reads the misses
+        behind it.  A lazily restored subgroup still takes one (its state is
+        read when its turn comes, not prefetched).
+        """
+        misses = (index for index in order[position:] if index not in self.cache)
+        for subgroup_index in itertools.islice(misses, depth):
+            self._maybe_prefetch(subgroup_index, pending, fields, stats)
 
     def _maybe_prefetch(
         self,
-        order: List[int],
-        position: int,
+        subgroup_index: int,
         pending: Dict[int, _PendingFetch],
         fields: List[str],
         stats: UpdatePhaseStats,
     ) -> None:
-        """Start the asynchronous prefetch of the subgroup at ``position`` in ``order``."""
-        if position >= len(order):
-            return
-        subgroup_index = order[position]
-        if subgroup_index in pending or subgroup_index in self.cache:
+        """Start the asynchronous prefetch of uncached ``subgroup_index``."""
+        if subgroup_index in pending:
             return
         if self.ckpt.is_pending(subgroup_index):
             # Lazily restored subgroup: its authoritative state lives in the
@@ -698,12 +708,16 @@ class OffloadEngineBase:
         Only an update phase puts dirty entries; every put outside a phase is
         clean and goes into a fresh cache (``initialize``, checkpoint
         restore).  So a dirty eviction happens only inside a phase, whose
-        loop and end barrier reap the write.
+        loop and end barrier reap the write.  The rank thread waits here only
+        for writes older than the newest ``PREFETCH_DEPTH - 1``, so Adam and
+        the prefetch window keep moving while the write channel drains
+        (``PREFETCH_DEPTH = 1`` writes one at a time).
         """
         sg = self._by_index[subgroup_index]
-        # One write behind at a time (the pool's footprint): the previous one
-        # finishes first; the loop reaps it, raising its error outside ``put``.
-        concurrent.futures.wait([f for entry in self._write_behind for f in entry[1]])
+        # The bound caps the pool's footprint; the loop reaps the awaited
+        # writes, raising their errors outside ``put``.
+        older = self._write_behind[: max(0, len(self._write_behind) - (PREFETCH_DEPTH - 1))]
+        concurrent.futures.wait([f for entry in older for f in entry[1]])
         landed: concurrent.futures.Future = concurrent.futures.Future()
         self._write_behind.append(
             self._flush_behind(sg, arrays, functools.partial(landed.set_result, None))

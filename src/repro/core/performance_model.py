@@ -146,7 +146,6 @@ class BandwidthEstimator:
     initial: Dict[str, float]
     smoothing: float = 0.5
     _current: Dict[str, float] = field(default_factory=dict)
-    _observations: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.initial:
@@ -157,7 +156,6 @@ class BandwidthEstimator:
             if bw <= 0:
                 raise ValueError(f"initial bandwidth for {name!r} must be positive")
         self._current = dict(self.initial)
-        self._observations = {name: 0 for name in self.initial}
 
     @property
     def bandwidths(self) -> Dict[str, float]:
@@ -175,11 +173,7 @@ class BandwidthEstimator:
         observed = nbytes / seconds
         alpha = self.smoothing
         self._current[tier] = (1.0 - alpha) * self._current[tier] + alpha * observed
-        self._observations[tier] += 1
         return self._current[tier]
-
-    def observation_count(self, tier: str) -> int:
-        return self._observations.get(tier, 0)
 
     def allocate(self, num_subgroups: int) -> Dict[str, int]:
         """Allocate subgroups using the current estimates (Equation 1)."""

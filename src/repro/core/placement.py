@@ -85,22 +85,11 @@ class PlacementMap:
         except KeyError:
             raise KeyError(f"subgroup {subgroup_id} has no placement") from None
 
-    def subgroups_on(self, tier: str) -> List[int]:
-        return sorted(sg for sg, t in self._placement.items() if t == tier)
-
     def counts(self) -> Dict[str, int]:
         """Number of subgroups per tier (including :attr:`HOST` if any)."""
         counter = Counter(self._placement.values())
         result = {name: 0 for name in self.tier_names}
         result.update(counter)
-        return result
-
-    def distribution_bytes(self, subgroup_bytes: Mapping[int, float]) -> Dict[str, float]:
-        """Bytes of offloaded state per tier (drives Figure 10)."""
-        result: Dict[str, float] = {name: 0.0 for name in self.tier_names}
-        result.setdefault(self.HOST, 0.0)
-        for subgroup_id, tier in self._placement.items():
-            result[tier] = result.get(tier, 0.0) + float(subgroup_bytes.get(subgroup_id, 0.0))
         return result
 
     def __len__(self) -> int:

@@ -162,16 +162,6 @@ class StoreStats:
     read_seconds: float
     write_seconds: float
 
-    @property
-    def read_bandwidth(self) -> float:
-        """Observed read bandwidth in bytes/second (0 when nothing was read)."""
-        return self.bytes_read / self.read_seconds if self.read_seconds > 0 else 0.0
-
-    @property
-    def write_bandwidth(self) -> float:
-        """Observed write bandwidth in bytes/second (0 when nothing was written)."""
-        return self.bytes_written / self.write_seconds if self.write_seconds > 0 else 0.0
-
 
 def _pack_meta(array: np.ndarray) -> bytes:
     """The blob prefix (header + dtype name + shape dims) for ``array``."""

@@ -54,11 +54,6 @@ class GradientAccumulator:
         """Number of micro-batches accumulated since the last :meth:`reset`."""
         return self._accumulated_steps
 
-    @property
-    def nbytes_fp16(self) -> int:
-        """Host bytes needed to hold the accumulated gradients in FP16."""
-        return int(sum(buf.size * 2 for buf in self._buffers.values()))
-
     def accumulate(self, subgroup_index: int, grad_fp16: np.ndarray) -> None:
         """Add one micro-batch's FP16 gradient for ``subgroup_index``."""
         buffer = self._buffer(subgroup_index)

@@ -50,14 +50,6 @@ class MemoryBreakdown:
     # Third-level tier
     offloaded_optimizer_bytes: float
 
-    @property
-    def fits_gpu(self) -> bool:
-        return self.gpu_total <= self.gpu_capacity
-
-    @property
-    def fits_host(self) -> bool:
-        return self.host_total_required <= self.host_capacity
-
 
 def runtime_buffer_bytes(model: ModelConfig) -> float:
     """ZeRO-3 runtime bookkeeping on the host (allocator pools, all-reduce buckets…).

@@ -71,10 +71,6 @@ class IterationReport:
     def mean_loss(self) -> float:
         return float(np.mean(self.losses)) if self.losses else float("nan")
 
-    @property
-    def total_seconds(self) -> float:
-        return self.forward_seconds + self.backward_seconds + self.update_report.stats.wall_seconds
-
 
 class FunctionalTrainer:
     """Drives one rank's training through an offloading engine."""

@@ -110,7 +110,6 @@ class TestEndToEndTraining:
         trainer, engine = _build_trainer(model_config, offload_config, MLPOffloadEngine)
         try:
             report = trainer.train_iteration()
-            assert report.total_seconds > 0
             assert report.forward_seconds >= 0 and report.backward_seconds >= 0
             assert report.update_report.stats.subgroups_processed == len(engine.subgroups)
             assert report.update_report.stats.params_updated == engine.layout.total_params

@@ -137,7 +137,7 @@ class TestAccounting:
         # Modelled transfer time at 1 MB/s is about a second in each direction.
         assert stats.write_seconds >= 0.9
         assert stats.read_seconds >= 0.9
-        assert stats.read_bandwidth == pytest.approx(1e6, rel=0.2)
+        assert stats.bytes_read / stats.read_seconds == pytest.approx(1e6, rel=0.2)
 
     def test_clear_removes_everything(self, tmp_path):
         store = FileStore(tmp_path / "tier")

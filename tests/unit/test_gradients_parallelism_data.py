@@ -32,7 +32,6 @@ class TestGradientAccumulator:
         grad = rng.standard_normal(1000).astype(np.float16)
         accumulator.accumulate(3, grad)
         assert accumulator.gradient_fp16(3).dtype == np.float16
-        assert accumulator.nbytes_fp16 == 10_000 * 2
 
     def test_reset_all_and_partial(self, accumulator, rng):
         grad = rng.standard_normal(1000).astype(np.float16)
@@ -147,7 +146,7 @@ class TestMemoryEstimator:
             host_memory=TESTBED_1.host_memory,
             subgroup_size=100_000_000,
         )
-        assert breakdown.fits_host
+        assert breakdown.host_total_required <= breakdown.host_capacity
         # Figure 10 reports ~145 GB of the 40B optimizer state cached in host memory.
         assert 80e9 < breakdown.host_cache_available < 220e9
         assert breakdown.offloaded_optimizer_bytes == pytest.approx(
@@ -181,7 +180,7 @@ class TestMemoryEstimator:
             host_memory=700 * GiB,
             subgroup_size=1000,
         )
-        assert breakdown.fits_gpu
+        assert breakdown.gpu_total <= breakdown.gpu_capacity
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

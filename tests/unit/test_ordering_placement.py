@@ -77,7 +77,6 @@ class TestPlacementMap:
         placement = PlacementMap.from_allocation(list(range(4)), {"nvme": 4, "pfs": 0})
         placement.assign(2, "pfs")
         assert placement.tier_of(2) == "pfs"
-        assert placement.subgroups_on("pfs") == [2]
         assert 2 in placement and 9 not in placement
         with pytest.raises(KeyError):
             placement.assign(0, "tape")
@@ -88,13 +87,6 @@ class TestPlacementMap:
         placement = PlacementMap.from_allocation(list(range(2)), {"nvme": 2})
         placement.assign(0, PlacementMap.HOST)
         assert placement.tier_of(0) == "host"
-
-    def test_distribution_bytes(self):
-        placement = PlacementMap.from_allocation(list(range(4)), {"nvme": 2, "pfs": 2})
-        sizes = {i: 100.0 for i in range(4)}
-        distribution = placement.distribution_bytes(sizes)
-        assert distribution["nvme"] == 200.0
-        assert distribution["pfs"] == 200.0
 
     def test_rebalance_moves_minimum_subgroups(self):
         placement = PlacementMap.from_allocation(

@@ -88,12 +88,10 @@ class TestBandwidthEstimator:
         estimator = BandwidthEstimator(initial={"nvme": 10.0}, smoothing=0.5)
         estimator.observe("nvme", nbytes=100.0, seconds=50.0)  # observed 2.0
         assert estimator.bandwidths["nvme"] == pytest.approx(6.0)
-        assert estimator.observation_count("nvme") == 1
 
     def test_zero_observations_are_ignored(self):
         estimator = BandwidthEstimator(initial={"nvme": 10.0})
         assert estimator.observe("nvme", 0.0, 0.0) == 10.0
-        assert estimator.observation_count("nvme") == 0
 
     def test_allocation_adapts_to_shifting_bandwidth(self):
         estimator = BandwidthEstimator(initial={"nvme": 5.0, "pfs": 5.0}, smoothing=1.0)
